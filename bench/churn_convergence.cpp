@@ -62,6 +62,7 @@
 #include "ctrlplane/engine.hpp"
 #include "ctrlplane/route_store.hpp"
 #include "faultgen/schedule.hpp"
+#include "host_fingerprint.hpp"
 #include "runner/jsonl.hpp"
 #include "stats/summary.hpp"
 #include "topogen/topogen.hpp"
@@ -448,6 +449,7 @@ int main(int argc, char** argv) {
       };
       kar::runner::JsonObject record;
       record.field("bench", "churn_convergence")
+          .raw("host", kar::bench::host_fingerprint_json())
           .field("topology", c.topology)
           .field("routes", static_cast<std::uint64_t>(c.routes))
           .field("events", static_cast<std::uint64_t>(c.events))

@@ -49,6 +49,7 @@
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "daemon/daemon.hpp"
+#include "host_fingerprint.hpp"
 #include "runner/jsonl.hpp"
 #include "stats/summary.hpp"
 #include "topology/graph.hpp"
@@ -304,6 +305,7 @@ int main(int argc, char** argv) {
     };
     kar::runner::JsonObject record;
     record.field("bench", "daemon_sustained")
+        .raw("host", kar::bench::host_fingerprint_json())
         .field("topology", topology)
         .field("routes", static_cast<std::uint64_t>(routes))
         .field("ops", static_cast<std::uint64_t>(ops))

@@ -8,6 +8,16 @@
 
 namespace kar::ctrlplane {
 
+namespace {
+
+template <typename T>
+void sort_unique(std::vector<T>& list) {
+  std::sort(list.begin(), list.end());
+  list.erase(std::unique(list.begin(), list.end()), list.end());
+}
+
+}  // namespace
+
 ReconvergenceEngine::ReconvergenceEngine(const topo::Topology& topology,
                                          RouteStore& store, EngineConfig config)
     : topo_(&topology),
@@ -39,16 +49,17 @@ ReconvergenceEngine::DstState& ReconvergenceEngine::dst_state(
   return state;
 }
 
-DynamicSpt& ReconvergenceEngine::spt_for(topo::NodeId dst) {
-  return *dst_state(dst).spt;
-}
-
-runner::ThreadPool& ReconvergenceEngine::pool(std::size_t shards) {
+void ReconvergenceEngine::fork(std::size_t shards,
+                               const std::function<void(std::size_t)>& body) {
+  if (shards <= 1) {
+    body(0);
+    return;
+  }
   // Shard 0 runs on the applying thread, so the pool backs shards - 1.
   if (!pool_ || pool_->size() < shards - 1) {
     pool_ = std::make_unique<runner::ThreadPool>(shards - 1);
   }
-  return *pool_;
+  runner::fork_join(*pool_, shards, body);
 }
 
 void ReconvergenceEngine::attach_metrics(obs::MetricsRegistry& registry,
@@ -80,20 +91,6 @@ void ReconvergenceEngine::attach_metrics(obs::MetricsRegistry& registry,
       {1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000, 25000, 100000}, labels);
 }
 
-const std::vector<std::pair<topo::NodeId, topo::NodeId>>&
-ReconvergenceEngine::protection_for(DstState& state, topo::NodeId dst,
-                                    const std::vector<topo::NodeId>& core_path) {
-  auto it = state.protection.find(core_path);
-  if (it == state.protection.end()) {
-    it = state.protection
-             .emplace(core_path,
-                      routing::plan_driven_deflections(*topo_, core_path, dst,
-                                                       config_.planner))
-             .first;
-  }
-  return it->second;
-}
-
 bool ReconvergenceEngine::extract_core(DstState& state, topo::NodeId src,
                                        std::vector<topo::NodeId>& core) {
   const auto path = state.spt->canonical_path(src);
@@ -103,111 +100,123 @@ bool ReconvergenceEngine::extract_core(DstState& state, topo::NodeId src,
   return true;
 }
 
+routing::EncodedRoute ReconvergenceEngine::encode_fresh(
+    DstState& state, topo::NodeId src, topo::NodeId dst,
+    const std::vector<topo::NodeId>& core) {
+  if (!config_.plan_protection) return controller_.encode_path(src, core, dst);
+  auto it = state.protection.find(core);
+  if (it == state.protection.end()) {
+    it = state.protection
+             .emplace(core, routing::plan_driven_deflections(
+                                *topo_, core, dst, config_.planner))
+             .first;
+  }
+  return controller_.encode_path(src, core, dst, it->second);
+}
+
 const ReconvergenceEngine::CachedEncoding& ReconvergenceEngine::lookup_encoding(
     DstState& state, topo::NodeId src, topo::NodeId dst,
     const std::vector<topo::NodeId>& core) {
   auto cache_key = std::make_pair(src, core);
   auto it = state.encodings.find(cache_key);
   if (it == state.encodings.end()) {
-    static const std::vector<std::pair<topo::NodeId, topo::NodeId>>
-        kNoProtection;
-    const auto& protection = config_.plan_protection
-                                 ? protection_for(state, dst, core)
-                                 : kNoProtection;
     CachedEncoding cached;
-    cached.route = controller_.encode_path(src, core, dst, protection);
+    cached.route = encode_fresh(state, src, dst, core);
     cached.footprint = store_->build_footprint(src, core, cached.route);
     it = state.encodings.emplace(std::move(cache_key), std::move(cached)).first;
   }
   return it->second;
 }
 
-void ReconvergenceEngine::reconverge_one(RouteKey key,
-                                         std::vector<RouteKey>& updated,
-                                         EpochStats& stats) {
-  const StoredRoute& entry = store_->get(key);
-  DstState& state = dst_state(entry.dst);
-  std::vector<topo::NodeId> core;
-  if (!extract_core(state, entry.src, core)) {
-    if (entry.live) {
-      store_->set_dead(key, version_);
-      updated.push_back(key);
-      ++stats.withdrawn;
-    }
-    return;
+RouteKey ReconvergenceEngine::install(topo::NodeId src, topo::NodeId dst,
+                                      EpochResult& result) {
+  const RouteKey key = store_->add(src, dst, version_);
+  // A group's record is canonical after every epoch, so a new member
+  // normally just joins it; should it differ from the SPT, the record is
+  // rewritten and the group's earlier members change with it.
+  const GroupId id = store_->member(key).group;
+  EpochStats group_stats;
+  reconverge_group(id, result.updated_groups, group_stats, nullptr);
+  if (store_->group(id).live) {
+    store_->set_installed(key);
+    result.updated.push_back(key);
+    ++result.stats.reencoded;
   }
-  if (entry.live && core == entry.core_path) return;  // canonical path held
-  if (config_.mode == EngineMode::kIncremental) {
-    const CachedEncoding& enc =
-        lookup_encoding(state, entry.src, entry.dst, core);
-    store_->set_encoding(key, std::move(core), enc.route, version_,
-                         &enc.footprint);
-  } else {
-    static const std::vector<std::pair<topo::NodeId, topo::NodeId>>
-        kNoProtection;
-    const auto& protection = config_.plan_protection
-                                 ? protection_for(state, entry.dst, core)
-                                 : kNoProtection;
-    routing::EncodedRoute encoded =
-        controller_.encode_path(entry.src, core, entry.dst, protection);
-    store_->set_encoding(key, std::move(core), std::move(encoded), version_);
-  }
-  updated.push_back(key);
-  ++stats.reencoded;
+  return key;
 }
 
-void ReconvergenceEngine::reconverge_group(RouteKey rep,
-                                           std::vector<RouteKey>& updated,
+void ReconvergenceEngine::recompute_all(EpochResult& result) {
+  for (const topo::NodeId dst : store_->destinations()) {
+    dst_state(dst).spt->rebuild();
+  }
+  result.stats.candidates = store_->size();
+  // Decide every route against the epoch-start table before writing any:
+  // members share their group's record, so writing one member's change
+  // first would hide it from the rest of its group. An empty core path
+  // means the route went dead.
+  std::vector<std::pair<RouteKey, std::vector<topo::NodeId>>> changes;
+  for (RouteKey key = 0; key < store_->size(); ++key) {
+    const StoredRoute entry = store_->get(key);
+    std::vector<topo::NodeId> core;
+    if (extract_core(dst_state(entry.dst), entry.src, core)
+            ? !entry.live || core != entry.core_path
+            : entry.live) {
+      changes.emplace_back(key, std::move(core));
+    }
+  }
+  for (const auto& [key, core] : changes) {
+    const StoredRoute entry = store_->get(key);
+    if (core.empty()) {
+      store_->set_dead(entry.group, version_);
+      ++result.stats.withdrawn;
+    } else {
+      store_->set_encoding(
+          entry.group, core,
+          encode_fresh(dst_state(entry.dst), entry.src, entry.dst, core),
+          version_);
+      ++result.stats.reencoded;
+    }
+    result.updated.push_back(key);
+  }
+}
+
+void ReconvergenceEngine::reconverge_group(GroupId id,
+                                           std::vector<GroupId>& updated,
                                            EpochStats& stats, ShardLog* log) {
-  const StoredRoute& head = store_->get(rep);
-  const topo::NodeId src = head.src;
-  const topo::NodeId dst = head.dst;
-  const bool was_live = head.live;
-  DstState& state = dst_state(dst);
+  const RouteGroup& group = store_->group(id);
+  DstState& state = dst_state(group.dst);
   std::vector<topo::NodeId> core;
-  if (!extract_core(state, src, core)) {
-    if (was_live) {
-      for (const RouteKey member : store_->group(rep)) {
-        store_->set_dead(member, version_, log);
-        updated.push_back(member);
-        ++stats.withdrawn;
-      }
+  if (!extract_core(state, group.src, core)) {
+    if (group.live) {
+      store_->set_dead(id, version_, log);
+      updated.push_back(id);
+      stats.withdrawn += group.members.size();
     }
     return;
   }
-  if (was_live && core == head.core_path) return;  // canonical path held
-  const CachedEncoding& enc = lookup_encoding(state, src, dst, core);
-  for (const RouteKey member : store_->group(rep)) {
-    store_->set_encoding(member, core, enc.route, version_, &enc.footprint,
-                         log);
-    updated.push_back(member);
-    ++stats.reencoded;
+  if (group.live && core == group.core_path) return;  // canonical path held
+  if (config_.mode == EngineMode::kIncremental) {
+    const CachedEncoding& enc =
+        lookup_encoding(state, group.src, group.dst, core);
+    store_->set_encoding(id, core, enc.route, version_, &enc.footprint, log);
+  } else {
+    store_->set_encoding(id, core,
+                         encode_fresh(state, group.src, group.dst, core),
+                         version_, nullptr, log);
   }
+  updated.push_back(id);
+  stats.reencoded += group.members.size();
 }
 
 bool ReconvergenceEngine::preview(topo::NodeId src, topo::NodeId dst,
                                   routing::EncodedRoute& route_out,
                                   std::vector<topo::NodeId>& core_out) {
-  if (topo_->kind(src) != topo::NodeKind::kEdgeNode) {
-    throw std::invalid_argument("preview: source " + topo_->name(src) +
-                                " is not an edge node");
-  }
-  if (topo_->kind(dst) != topo::NodeKind::kEdgeNode) {
-    throw std::invalid_argument("preview: destination " + topo_->name(dst) +
-                                " is not an edge node");
-  }
+  store_->check_endpoints(src, dst);
   DstState& state = dst_state(dst);
   if (!extract_core(state, src, core_out)) return false;
-  if (config_.mode == EngineMode::kIncremental) {
-    route_out = lookup_encoding(state, src, dst, core_out).route;
-  } else {
-    static const std::vector<std::pair<topo::NodeId, topo::NodeId>>
-        kNoProtection;
-    const auto& protection = config_.plan_protection
-                                 ? protection_for(state, dst, core_out)
-                                 : kNoProtection;
-    route_out = controller_.encode_path(src, core_out, dst, protection);
-  }
+  route_out = config_.mode == EngineMode::kIncremental
+                  ? lookup_encoding(state, src, dst, core_out).route
+                  : encode_fresh(state, src, dst, core_out);
   return true;
 }
 
@@ -226,25 +235,18 @@ void ReconvergenceEngine::warm_spts() {
   }
   if (missing.empty()) return;
   const std::size_t shards = std::min(shard_count(), missing.size());
-  const auto build = [&](std::size_t shard) {
+  fork(shards, [&](std::size_t shard) {
     for (std::size_t i = shard; i < missing.size(); i += shards) {
       const auto& [dst, state] = missing[i];
       state->spt = std::make_unique<DynamicSpt>(*topo_, dst, config_.metric,
                                                 threshold());
     }
-  };
-  if (shards <= 1) {
-    build(0);
-  } else {
-    runner::fork_join(pool(shards), shards, build);
-  }
+  });
 }
 
 RouteKey ReconvergenceEngine::add_route(topo::NodeId src, topo::NodeId dst) {
-  const RouteKey key = store_->add(src, dst);
-  std::vector<RouteKey> updated;
-  EpochStats scratch;
-  reconverge_one(key, updated, scratch);
+  EpochResult scratch;
+  const RouteKey key = install(src, dst, scratch);
   routes_gauge_.set(static_cast<double>(store_->size()));
   return key;
 }
@@ -266,15 +268,8 @@ EpochResult ReconvergenceEngine::apply(
     result.stats.events = events.size();
 
     if (config_.mode == EngineMode::kFullRecompute) {
-      for (const topo::NodeId dst : store_->destinations()) {
-        spt_for(dst).rebuild();
-      }
-      result.stats.candidates = store_->size();
-      for (RouteKey key = 0; key < store_->size(); ++key) {
-        reconverge_one(key, result.updated, result.stats);
-      }
+      recompute_all(result);
     } else {
-      key_scratch_.clear();
       const auto& dsts = store_->destinations();
       const std::size_t shards =
           std::max<std::size_t>(1, std::min(shard_count(), dsts.size()));
@@ -287,37 +282,24 @@ EpochResult ReconvergenceEngine::apply(
       /// in first-appearance order.
       struct ShardScratch {
         std::vector<topo::NodeId> changed;
-        std::vector<RouteKey> keys;        // phase A candidates
-        std::vector<RouteKey> candidates;  // phase C input (reps)
-        std::vector<RouteKey> updated;
+        std::vector<GroupId> found;       // phase A candidates
+        std::vector<GroupId> candidates;  // phase C input
+        std::vector<GroupId> updated;
         EpochStats stats;
         ShardLog log;
       };
       std::vector<ShardScratch> shard_scratch(shards);
-      const auto forked = [&](const std::function<void(std::size_t)>& body) {
-        if (shards == 1) {
-          body(0);
-        } else {
-          runner::fork_join(pool(shards), shards, body);
-        }
-      };
 
       // Phase A (forked): advance each owned destination's SPT through the
-      // epoch event by event, collecting routes (to that destination) that
-      // depend on a moved distance. The event direction bounds the sweep:
-      // a repair only *decreases* distances, and a decrease at node n can
-      // steal the argmin at any neighbor of n — so it takes the full
-      // neighborhood dependency index. A failure only *increases*
-      // distances, and a worsened candidate can only matter where it was
-      // the one chosen — so only routes whose path contains the node need
-      // the path index. (Masks are indexed against each route's
-      // epoch-start path; the first event that changes a route's path sees
-      // those masks still valid, which is enough for the superset argument
-      // — see docs/ctrlplane.md.) Every structure touched — the SPT, the
-      // destination's posting slabs, the indexed routes' masks — belongs
-      // to the shard's own destinations.
+      // epoch event by event, collecting groups (to that destination) that
+      // depend on a moved distance: a repair's distance *decrease* can
+      // steal the argmin at any neighbor (dependency index), a failure's
+      // *increase* only matters where the node was chosen (path index).
+      // Epoch-start footprints suffice by the first-change argument of
+      // docs/ctrlplane.md. Every structure touched — the SPT, the
+      // destination's slab and its groups — belongs to this shard.
       if (!events.empty()) {
-        forked([&](std::size_t shard) {
+        fork(shards, [&](std::size_t shard) {
           ShardScratch& sc = shard_scratch[shard];
           for (std::size_t i = shard; i < dsts.size(); i += shards) {
             const topo::NodeId dst = dsts[i];
@@ -328,75 +310,64 @@ EpochResult ReconvergenceEngine::apply(
                   spt.apply_link_event(event.link, event.up, sc.changed);
               sc.stats.spt_dirty += s.dirty;
               if (s.fallback) ++sc.stats.spt_fallbacks;
-              std::sort(sc.changed.begin(), sc.changed.end());
-              sc.changed.erase(
-                  std::unique(sc.changed.begin(), sc.changed.end()),
-                  sc.changed.end());
+              sort_unique(sc.changed);
               for (const topo::NodeId node : sc.changed) {
                 if (event.up) {
-                  store_->collect_node_dependents(node, dst, sc.keys);
+                  store_->collect_node_dependents(node, dst, sc.found);
                 } else {
-                  store_->collect_path_dependents(node, dst, sc.keys);
+                  store_->collect_path_dependents(node, dst, sc.found);
                 }
               }
             }
           }
         });
       }
-      // Phase B (serial): routes whose encoding references an event link;
-      // for link-up events additionally every route choosing a next hop at
-      // an endpoint — a repaired link can appear as a new equal-cost
-      // candidate there and flip the tie-break without moving any
-      // distance. (A link-down needs no endpoint sweep: removing a
-      // candidate only changes an argmin if it *was* the argmin, i.e. the
-      // link was on the chosen path and is in the link index.) Then merge
-      // every shard's phase-A candidates and canonicalise: sort + unique
-      // makes the representative list identical at every shard width.
+      // Phase B (serial): groups whose encoding references an event link,
+      // plus, for a link-up, every group choosing a next hop at an endpoint
+      // (a repaired link can flip an equal-cost tie without moving any
+      // distance; a link-down needs no such sweep — a removed candidate
+      // only mattered if chosen, and then the link index holds it). Merged
+      // with phase A's candidates and sorted, the group list is identical
+      // at every shard width.
+      std::vector<GroupId> candidates;
       for (const LinkChange& event : events) {
-        store_->collect_link_dependents(event.link, key_scratch_);
+        store_->collect_link_dependents(event.link, candidates);
         if (event.up) {
           const topo::Link& link = topo_->link(event.link);
-          store_->collect_path_dependents(link.a.node, key_scratch_);
-          store_->collect_path_dependents(link.b.node, key_scratch_);
+          store_->collect_path_dependents(link.a.node, candidates);
+          store_->collect_path_dependents(link.b.node, candidates);
         }
       }
       for (const ShardScratch& sc : shard_scratch) {
-        key_scratch_.insert(key_scratch_.end(), sc.keys.begin(),
-                            sc.keys.end());
+        candidates.insert(candidates.end(), sc.found.begin(), sc.found.end());
       }
-      std::sort(key_scratch_.begin(), key_scratch_.end());
-      key_scratch_.erase(std::unique(key_scratch_.begin(), key_scratch_.end()),
-                         key_scratch_.end());
-      result.stats.candidates = key_scratch_.size();
+      sort_unique(candidates);
+      result.stats.candidates = candidates.size();
       // Route each candidate group to the shard owning its destination.
-      if (shards == 1) {
-        shard_scratch[0].candidates.swap(key_scratch_);
-      } else {
-        std::vector<std::uint32_t> owner(topo_->node_count(), 0);
-        for (std::size_t i = 0; i < dsts.size(); ++i) {
-          owner[dsts[i]] = static_cast<std::uint32_t>(i % shards);
-        }
-        for (const RouteKey rep : key_scratch_) {
-          shard_scratch[owner[store_->get(rep).dst]].candidates.push_back(rep);
-        }
+      std::vector<std::uint32_t> owner(topo_->node_count(), 0);
+      for (std::size_t i = 0; i < dsts.size(); ++i) {
+        owner[dsts[i]] = static_cast<std::uint32_t>(i % shards);
+      }
+      for (const GroupId id : candidates) {
+        shard_scratch[owner[store_->group(id).dst]].candidates.push_back(id);
       }
       // Phase C (forked): reconverge once per endpoint group — the
       // decision (extract core, memo-encode, install or withdraw) reads
-      // only the group's own SPT, memos and route slots, all owned by this
+      // only the group's own SPT, memos and record, all owned by this
       // shard; side effects on cross-shard structures are buffered in the
       // shard's log.
-      forked([&](std::size_t shard) {
+      fork(shards, [&](std::size_t shard) {
         ShardScratch& sc = shard_scratch[shard];
-        for (const RouteKey rep : sc.candidates) {
-          reconverge_group(rep, sc.updated, sc.stats, &sc.log);
+        for (const GroupId id : sc.candidates) {
+          reconverge_group(id, sc.updated, sc.stats, &sc.log);
         }
       });
       // Serial epilogue: replay the shard logs and merge results in shard
       // order (the updated list is canonicalised by the sort below).
       for (ShardScratch& sc : shard_scratch) {
         store_->apply_shard_log(sc.log);
-        result.updated.insert(result.updated.end(), sc.updated.begin(),
-                              sc.updated.end());
+        result.updated_groups.insert(result.updated_groups.end(),
+                                     sc.updated.begin(), sc.updated.end());
         result.stats.reencoded += sc.stats.reencoded;
         result.stats.withdrawn += sc.stats.withdrawn;
         result.stats.spt_dirty += sc.stats.spt_dirty;
@@ -408,8 +379,7 @@ EpochResult ReconvergenceEngine::apply(
     // version; withdrawals last, so a key installed above can be
     // tombstoned in the same epoch.
     for (const auto& [src, dst] : installs) {
-      const RouteKey key = store_->add(src, dst);
-      reconverge_one(key, result.updated, result.stats);
+      const RouteKey key = install(src, dst, result);
       if (installed_keys != nullptr) installed_keys->push_back(key);
       ++result.stats.installed;
     }
@@ -418,10 +388,8 @@ EpochResult ReconvergenceEngine::apply(
       result.updated.push_back(key);
       ++result.stats.tombstoned;
     }
-    std::sort(result.updated.begin(), result.updated.end());
-    result.updated.erase(
-        std::unique(result.updated.begin(), result.updated.end()),
-        result.updated.end());
+    sort_unique(result.updated_groups);
+    sort_unique(result.updated);
   }
 
   totals_.events += result.stats.events;
@@ -442,8 +410,23 @@ EpochResult ReconvergenceEngine::apply(
   routes_gauge_.set(static_cast<double>(store_->size()));
   reconvergence_seconds_.observe(result.stats.wall_s);
   affected_routes_.observe(static_cast<double>(result.stats.candidates));
-  updated_routes_.observe(static_cast<double>(result.updated.size()));
+  updated_routes_.observe(static_cast<double>(
+      result.stats.reencoded + result.stats.withdrawn + result.stats.tombstoned));
   return result;
+}
+
+std::vector<RouteKey> updated_keys(const RouteStore& store,
+                                   const EpochResult& result) {
+  std::vector<RouteKey> keys = result.updated;
+  for (const GroupId id : result.updated_groups) {
+    for (const RouteKey key : store.group(id).members) {
+      // A member stamped in this epoch joined (or was withdrawn) after the
+      // group changed; it is in `updated` if its entry changed at all.
+      if (store.member(key).stamp < result.version) keys.push_back(key);
+    }
+  }
+  sort_unique(keys);
+  return keys;
 }
 
 std::vector<TraceHop> forwarding_trace(const topo::Topology& topology,

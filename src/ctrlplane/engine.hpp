@@ -12,18 +12,18 @@
 //      and routes depending on a node whose distance *decreased*
 //      (repairs — a decrease can steal an argmin anywhere next door);
 //   3. re-extracts each candidate group's canonical path from its SPT —
-//      the store indexes one representative per (src, dst) endpoint
-//      group, since routes sharing endpoints share paths and encodings —
-//      and only when the path actually differs re-encodes (primary +
-//      cached driven-deflection protection, both memoised on the static
-//      topology) and installs into every group member with the new epoch
-//      version.
+//      the store interns one record per (src, dst) endpoint group, since
+//      routes sharing endpoints share paths and encodings — and only when
+//      the path actually differs re-encodes (primary + cached
+//      driven-deflection protection, both memoised on the static topology)
+//      and writes the group record once with the new epoch version, which
+//      every member then reports (route_store.hpp's version rule).
 // Every route outside the candidate set provably keeps its canonical path
 // (docs/ctrlplane.md walks the superset argument), so skipping it is safe.
 //
 // Full-recompute mode is the differential oracle: rebuild every SPT, walk
-// every route. Identical outputs are enforced by
-// tests/test_ctrlplane_differential.cpp.
+// every route, decide and encode each one on its own. Identical outputs are
+// enforced by tests/test_ctrlplane_differential.cpp.
 //
 // Protection is planned on the *intended* topology (the planner ignores
 // failures, mirroring the paper's controller), so a route's protection set
@@ -38,7 +38,7 @@
 //   A. each shard advances its own destinations' SPTs through the epoch and
 //      collects distance-driven candidates into a shard-local vector;
 //   B. (serial) the link-index sweep runs, then all candidate vectors merge
-//      — sort + unique — into one deterministic representative list;
+//      — sort + unique — into one deterministic group list;
 //   C. each shard reconverges the candidate groups whose destination it
 //      owns, buffering cross-shard store side effects (link-posting
 //      appends, the live counter) in a ShardLog; the logs replay serially
@@ -52,9 +52,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -110,14 +110,24 @@ struct EpochStats {
   double wall_s = 0.0;
 };
 
-/// Outcome of one apply(): the new table version and the changed keys.
+/// Outcome of one apply(): the new table version and what changed.
 struct EpochResult {
   std::uint64_t version = 0;
-  /// Keys whose table entry changed this epoch, ascending (re-encoded and
-  /// withdrawn alike; unchanged candidates are not listed).
+  /// Groups whose state changed this epoch (re-encoded or withdrawn),
+  /// ascending; unchanged candidates are not listed. Every member that
+  /// joined before the change now reports `version`.
+  std::vector<GroupId> updated_groups;
+  /// Keys changed one by one this epoch, ascending: admissions installed
+  /// live, tombstones, and in full-recompute mode every changed route.
   std::vector<RouteKey> updated;
   EpochStats stats;
 };
+
+/// Every key whose table entry changed in `result`, ascending: `updated`
+/// plus the members of `updated_groups` that joined before the change.
+/// Reads member stamps, so call it before the store's next epoch.
+[[nodiscard]] std::vector<RouteKey> updated_keys(const RouteStore& store,
+                                                 const EpochResult& result);
 
 class ReconvergenceEngine {
  public:
@@ -193,20 +203,17 @@ class ReconvergenceEngine {
 
  private:
   /// Persistent encoding memo entry: on the static topology structure the
-  /// encoding and its index footprint are pure functions of
-  /// (src, dst, core path) — like the protection memo, never invalidated.
-  /// Churn that flips a pair between a handful of alternate paths pays the
-  /// CRT solve and footprint walk only on first sight of each path.
+  /// encoding and its index footprint are pure functions of (src, dst,
+  /// core path), so churn pays the CRT solve and footprint walk only on
+  /// first sight of each path — never invalidated.
   struct CachedEncoding {
     routing::EncodedRoute route;
     IndexFootprint footprint;
   };
 
   /// Everything the engine keeps per destination, bundled so one shard
-  /// owns it outright during a forked epoch: the dynamic SPT plus the
-  /// protection and encoding memos (both keyed with the destination
-  /// implicit). States are created only on the serial path (add_route,
-  /// warm_spts, epoch preamble), never inside a forked phase.
+  /// owns it outright during a forked epoch. States are created only on
+  /// the serial path (add_route, warm_spts, epoch preamble).
   struct DstState {
     std::unique_ptr<DynamicSpt> spt;
     /// Protection memo: core path -> planned assignments (pure function
@@ -214,8 +221,7 @@ class ReconvergenceEngine {
     std::map<std::vector<topo::NodeId>,
              std::vector<std::pair<topo::NodeId, topo::NodeId>>>
         protection;
-    /// Encoding memo: (src, core path) -> CachedEncoding (incremental
-    /// mode only; see CachedEncoding).
+    /// Encoding memo (incremental mode only): (src, core path) -> entry.
     std::map<std::pair<topo::NodeId, std::vector<topo::NodeId>>,
              CachedEncoding>
         encodings;
@@ -227,32 +233,35 @@ class ReconvergenceEngine {
   [[nodiscard]] std::size_t shard_count() const;
   /// Finds or creates the destination's state (serial path only).
   DstState& dst_state(topo::NodeId dst);
-  DynamicSpt& spt_for(topo::NodeId dst);
   /// Canonical core path for (src, dst) from the destination's SPT; false
   /// when no usable path exists (a route needs src + >= 1 switch + dst).
   bool extract_core(DstState& state, topo::NodeId src,
                     std::vector<topo::NodeId>& core);
+  /// Encodes (src, dst, core) from scratch: primary path plus, when
+  /// configured, the protection plan (memoised per core path).
+  routing::EncodedRoute encode_fresh(DstState& state, topo::NodeId src,
+                                     topo::NodeId dst,
+                                     const std::vector<topo::NodeId>& core);
   /// Finds or builds the persistent encoding-cache entry for
   /// (src, dst, core) — incremental mode's encode path.
   const CachedEncoding& lookup_encoding(DstState& state, topo::NodeId src,
                                         topo::NodeId dst,
                                         const std::vector<topo::NodeId>& core);
-  /// Naive per-route reconvergence (full reference mode, add_route and
-  /// epoch admissions — all serial).
-  void reconverge_one(RouteKey key, std::vector<RouteKey>& updated,
-                      EpochStats& stats);
-  /// Group reconvergence (incremental mode): decide once per endpoint
-  /// group via its representative, fan the install out to every member.
-  /// `log` non-null routes cross-shard store side effects through a
+  /// Admits one route at the current version (serial) and converges its
+  /// group against the current SPT, recording the change in `result`.
+  RouteKey install(topo::NodeId src, topo::NodeId dst, EpochResult& result);
+  /// Full-recompute epoch body: decides every route on its own against the
+  /// epoch-start table, then writes the changes.
+  void recompute_all(EpochResult& result);
+  /// Group reconvergence (incremental epochs and admissions): decide once
+  /// per endpoint group and write its record once, whatever its member
+  /// count. `log` non-null routes cross-shard store side effects through a
   /// ShardLog (forked phase C); null writes the store directly (serial).
-  void reconverge_group(RouteKey rep, std::vector<RouteKey>& updated,
+  void reconverge_group(GroupId id, std::vector<GroupId>& updated,
                         EpochStats& stats, ShardLog* log);
-  [[nodiscard]] const std::vector<std::pair<topo::NodeId, topo::NodeId>>&
-  protection_for(DstState& state, topo::NodeId dst,
-                 const std::vector<topo::NodeId>& core_path);
-  /// Lazily builds the pool backing fork_join (shard_count() - 1 workers;
-  /// shard 0 runs on the applying thread).
-  runner::ThreadPool& pool(std::size_t shards);
+  /// Runs body(0 .. shards-1): inline for one shard, else by fork_join on a
+  /// lazily built pool of shards - 1 workers (shard 0 on the caller).
+  void fork(std::size_t shards, const std::function<void(std::size_t)>& body);
 
   const topo::Topology* topo_;
   RouteStore* store_;
@@ -273,9 +282,6 @@ class ReconvergenceEngine {
   obs::Histogram reconvergence_seconds_;
   obs::Histogram affected_routes_;
   obs::Histogram updated_routes_;
-  // Scratch for the serial merge phase (per-shard scratch lives on the
-  // apply() stack).
-  std::vector<RouteKey> key_scratch_;
 };
 
 /// One hop of a pure modulo walk over an encoded route.

@@ -6,120 +6,159 @@
 
 namespace kar::ctrlplane {
 
-RouteStore::RouteStore(const topo::Topology& topology)
-    : topo_(&topology), link_index_(topology.link_count()) {
-  dst_seen_.assign(topology.node_count(), false);
+namespace {
+
+void post(std::vector<GroupId>& posting, GroupId id) {
+  if (posting.empty() || posting.back() != id) posting.push_back(id);
 }
 
-RouteKey RouteStore::add(topo::NodeId src, topo::NodeId dst) {
-  if (topo_->kind(src) != topo::NodeKind::kEdgeNode) {
-    throw std::invalid_argument("RouteStore: source " + topo_->name(src) +
-                                " is not an edge node");
+void sort_unique(std::vector<GroupId>& posting) {
+  std::sort(posting.begin(), posting.end());
+  posting.erase(std::unique(posting.begin(), posting.end()), posting.end());
+}
+
+}  // namespace
+
+RouteStore::RouteStore(const topo::Topology& topology)
+    : topo_(&topology),
+      slabs_(topology.node_count()),
+      link_index_(topology.link_count()) {}
+
+void RouteStore::check_endpoints(topo::NodeId src, topo::NodeId dst) const {
+  for (const auto& [node, role] : {std::pair{src, "source"},
+                                   std::pair{dst, "destination"}}) {
+    if (topo_->kind(node) != topo::NodeKind::kEdgeNode) {
+      throw std::invalid_argument(std::string("route ") + role + " " +
+                                  topo_->name(node) + " is not an edge node");
+    }
   }
-  if (topo_->kind(dst) != topo::NodeKind::kEdgeNode) {
-    throw std::invalid_argument("RouteStore: destination " + topo_->name(dst) +
-                                " is not an edge node");
-  }
-  const RouteKey key = routes_.size();
-  StoredRoute entry;
-  entry.key = key;
-  entry.rep = rep_of_.try_emplace(std::make_pair(src, dst), key).first->second;
-  entry.src = src;
-  entry.dst = dst;
-  entry.deps = NodeMask(topo_->node_count());
-  entry.path_nodes = NodeMask(topo_->node_count());
-  groups_.emplace_back();
-  groups_[entry.rep].push_back(key);
-  routes_.push_back(std::move(entry));
-  if (!dst_seen_[dst]) {
-    dst_seen_[dst] = true;
+}
+
+RouteKey RouteStore::add(topo::NodeId src, topo::NodeId dst,
+                         std::uint64_t epoch) {
+  check_endpoints(src, dst);
+  if (!slabs_[dst]) {
+    // The destination's slab is born here, while the store is quiescent:
+    // shards later index into existing slabs only.
+    slabs_[dst] = std::make_unique<DstSlab>();
+    slabs_[dst]->node.resize(topo_->node_count());
+    slabs_[dst]->path.resize(topo_->node_count());
     destinations_.push_back(dst);
-    // The destination's posting slab is born here, while the store is
-    // quiescent: shards later index into existing slabs only.
-    DstPostings& slab = dst_postings_[dst];
-    slab.node.resize(topo_->node_count());
-    slab.path.resize(topo_->node_count());
   }
-  reindex(routes_.back(), nullptr, nullptr);
+  const auto [it, founded] = group_of_.try_emplace(
+      std::make_pair(src, dst), static_cast<GroupId>(groups_.size()));
+  const GroupId id = it->second;
+  if (founded) {
+    RouteGroup& g = slab(dst).groups.emplace_back();
+    g.src = src;
+    g.dst = dst;
+    g.footprint.deps = NodeMask(topo_->node_count());
+    g.footprint.path_nodes = NodeMask(topo_->node_count());
+    groups_.push_back(&g);
+    set_dead(id, 0);  // indexes the revive trigger
+  }
+  RouteGroup& g = *groups_[id];
+  const RouteKey key = members_.size();
+  members_.push_back(RouteMember{id, false, false, epoch});
+  g.members.push_back(key);
+  if (g.live) ++live_;
   return key;
 }
 
-void RouteStore::set_encoding(RouteKey key, std::vector<topo::NodeId> core_path,
-                              routing::EncodedRoute route,
-                              std::uint64_t version,
-                              const IndexFootprint* footprint, ShardLog* log) {
-  StoredRoute& entry = routes_[key];
-  if (!entry.live) {
-    if (log != nullptr) {
-      ++log->live_delta;
-    } else {
-      ++live_;
-    }
-  }
-  entry.live = true;
-  entry.route = std::move(route);
-  entry.core_path = std::move(core_path);
-  entry.version = version;
-  reindex(entry, footprint, log);
+StoredRoute RouteStore::get(RouteKey key) const {
+  const RouteMember& m = members_[key];
+  const RouteGroup& g = *groups_[m.group];
+  // The version rule (file comment of route_store.hpp).
+  const std::uint64_t version =
+      g.version > m.stamp ? g.version : (m.stamped ? m.stamp : 0);
+  return StoredRoute{key,         m.group, g.src,   g.dst,       g.live,
+                     m.withdrawn, version, g.route, g.core_path};
 }
 
-void RouteStore::set_dead(RouteKey key, std::uint64_t version, ShardLog* log) {
-  StoredRoute& entry = routes_[key];
-  if (entry.live) {
-    if (log != nullptr) {
-      --log->live_delta;
-    } else {
-      --live_;
-    }
+void RouteStore::add_live(std::ptrdiff_t delta, ShardLog* log) {
+  if (log != nullptr) {
+    log->live_delta += delta;
+  } else {
+    live_ = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(live_) + delta);
   }
-  entry.live = false;
-  entry.route = routing::EncodedRoute{};
-  entry.core_path.clear();
-  entry.version = version;
-  reindex(entry, nullptr, log);
+}
+
+void RouteStore::set_encoding(GroupId id,
+                              const std::vector<topo::NodeId>& core_path,
+                              const routing::EncodedRoute& route,
+                              std::uint64_t version,
+                              const IndexFootprint* footprint, ShardLog* log) {
+  RouteGroup& g = *groups_[id];
+  if (!g.live) add_live(static_cast<std::ptrdiff_t>(g.members.size()), log);
+  g.live = true;
+  g.route = route;
+  g.core_path = core_path;
+  g.version = version;
+  if (footprint != nullptr) {
+    reindex(id, g, *footprint, log);
+  } else {
+    reindex(id, g, build_footprint(g.src, g.core_path, g.route), log);
+  }
+}
+
+void RouteStore::set_dead(GroupId id, std::uint64_t version, ShardLog* log) {
+  RouteGroup& g = *groups_[id];
+  if (g.live) add_live(-static_cast<std::ptrdiff_t>(g.members.size()), log);
+  g.live = false;
+  g.route = routing::EncodedRoute{};
+  g.core_path.clear();
+  g.version = version;
+  // A dead group revives only via d(src) changing.
+  DstSlab& s = slab(g.dst);
+  IndexFootprint& f = g.footprint;
+  if (!f.deps.test(g.src)) post(s.node[g.src], id);
+  if (!f.path_nodes.test(g.src)) post(s.path[g.src], id);
+  f.deps.clear();
+  f.path_nodes.clear();
+  f.links.clear();
+  f.deps.set(g.src);
+  f.path_nodes.set(g.src);
 }
 
 void RouteStore::set_withdrawn(RouteKey key, std::uint64_t version) {
-  StoredRoute& entry = routes_[key];
-  if (!entry.withdrawn) ++withdrawn_;
-  entry.withdrawn = true;
-  entry.version = version;
+  RouteMember& m = members_[key];
+  if (!m.withdrawn) ++withdrawn_;
+  m.withdrawn = true;
+  m.stamped = true;
+  m.stamp = version;
 }
 
 void RouteStore::apply_shard_log(const ShardLog& log) {
-  live_ = static_cast<std::size_t>(
-      static_cast<std::ptrdiff_t>(live_) + log.live_delta);
-  for (const auto& [link, key] : log.link_appends) {
-    std::vector<RouteKey>& posting = link_index_[link];
-    if (posting.empty() || posting.back() != key) posting.push_back(key);
-  }
+  add_live(log.live_delta, nullptr);
+  for (const auto& [link, id] : log.link_appends) post(link_index_[link], id);
 }
 
 std::size_t RouteStore::compact_postings() {
   std::size_t dropped = 0;
-  const auto rewrite = [&](std::vector<RouteKey>& posting, const auto& keep) {
-    std::vector<RouteKey> fresh;
+  const auto rewrite = [&](std::vector<GroupId>& posting, const auto& keep) {
+    std::vector<GroupId> fresh;
     fresh.reserve(posting.size());
-    for (const RouteKey key : posting) {
-      if (keep(key)) fresh.push_back(key);
+    for (const GroupId id : posting) {
+      if (keep(*groups_[id])) fresh.push_back(id);
     }
-    std::sort(fresh.begin(), fresh.end());
-    fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+    sort_unique(fresh);
     dropped += posting.size() - fresh.size();
     posting = std::move(fresh);
   };
   for (topo::LinkId link = 0; link < link_index_.size(); ++link) {
-    rewrite(link_index_[link], [&](RouteKey key) {
-      return route_uses_link(routes_[key], link);
+    rewrite(link_index_[link], [&](const RouteGroup& g) {
+      return std::binary_search(g.footprint.links.begin(),
+                                g.footprint.links.end(), link);
     });
   }
   for (const topo::NodeId dst : destinations_) {
-    DstPostings& slab = postings_for(dst);
-    for (topo::NodeId node = 0; node < slab.node.size(); ++node) {
-      rewrite(slab.node[node],
-              [&](RouteKey key) { return routes_[key].deps.test(node); });
-      rewrite(slab.path[node],
-              [&](RouteKey key) { return routes_[key].path_nodes.test(node); });
+    DstSlab& s = slab(dst);
+    for (topo::NodeId node = 0; node < s.node.size(); ++node) {
+      rewrite(s.node[node],
+              [&](const RouteGroup& g) { return g.footprint.deps.test(node); });
+      rewrite(s.path[node], [&](const RouteGroup& g) {
+        return g.footprint.path_nodes.test(node);
+      });
     }
   }
   return dropped;
@@ -162,125 +201,85 @@ IndexFootprint RouteStore::build_footprint(
   return f;
 }
 
-void RouteStore::reindex(StoredRoute& entry, const IndexFootprint* footprint,
+void RouteStore::reindex(GroupId id, RouteGroup& g, const IndexFootprint& next,
                          ShardLog* log) {
-  // Diff-append: a bit already set in the old mask means the key is already
-  // in that posting (scans only drop a key once its bit clears), so only
-  // newly set bits and newly referenced links need an append. This keeps
-  // reinstall cost proportional to how much the footprint moved, not to
-  // its size, and bounds posting growth under path flapping.
-  // Only the group representative is posted (see file comment); member
-  // routes still mirror the footprint so direct inspection stays truthful.
-  const bool is_rep = entry.key == entry.rep;
-  const auto post = [&](std::vector<RouteKey>& posting) {
-    if (posting.empty() || posting.back() != entry.key) {
-      posting.push_back(entry.key);
-    }
-  };
-  DstPostings& slab = postings_for(entry.dst);
-  if (!entry.live) {
-    // A dead route revives only via d(src) changing.
-    if (is_rep) {
-      if (!entry.deps.test(entry.src)) post(slab.node[entry.src]);
-      if (!entry.path_nodes.test(entry.src)) post(slab.path[entry.src]);
-    }
-    entry.deps.clear();
-    entry.path_nodes.clear();
-    entry.links.clear();
-    entry.deps.set(entry.src);
-    entry.path_nodes.set(entry.src);
-    return;
-  }
-  IndexFootprint local;
-  if (footprint == nullptr) {
-    local = build_footprint(entry.src, entry.core_path, entry.route);
-    footprint = &local;
-  }
-  if (is_rep) {
-    footprint->deps.for_each_not_in(entry.deps, [&](std::size_t node) {
-      post(slab.node[node]);
-    });
-    footprint->path_nodes.for_each_not_in(
-        entry.path_nodes, [&](std::size_t node) { post(slab.path[node]); });
-    for (const topo::LinkId link : footprint->links) {
-      if (!std::binary_search(entry.links.begin(), entry.links.end(), link)) {
-        if (log != nullptr) {
-          log->link_appends.emplace_back(link, entry.key);
-        } else {
-          post(link_index_[link]);
-        }
+  // Diff-append: a bit already set in the old mask means the group is
+  // already in that posting (scans only drop a group once its bit clears),
+  // so only newly set bits and newly referenced links need an append. This
+  // keeps reinstall cost proportional to how much the footprint moved, not
+  // to its size, and bounds posting growth under path flapping.
+  DstSlab& s = slab(g.dst);
+  IndexFootprint& cur = g.footprint;
+  next.deps.for_each_not_in(cur.deps,
+                            [&](std::size_t node) { post(s.node[node], id); });
+  next.path_nodes.for_each_not_in(
+      cur.path_nodes, [&](std::size_t node) { post(s.path[node], id); });
+  for (const topo::LinkId link : next.links) {
+    if (!std::binary_search(cur.links.begin(), cur.links.end(), link)) {
+      if (log != nullptr) {
+        log->link_appends.emplace_back(link, id);
+      } else {
+        post(link_index_[link], id);
       }
     }
   }
-  entry.deps = footprint->deps;
-  entry.path_nodes = footprint->path_nodes;
-  entry.links = footprint->links;
-}
-
-bool RouteStore::route_uses_link(const StoredRoute& entry,
-                                 topo::LinkId link) const {
-  return std::binary_search(entry.links.begin(), entry.links.end(), link);
+  cur.deps = next.deps;
+  cur.path_nodes = next.path_nodes;
+  cur.links = next.links;
 }
 
 namespace {
 
-/// Shared posting scan: append keys passing `keep`, lazily compacting the
-/// posting when more than half of it was stale.
+/// Shared posting scan: append groups passing `keep`, lazily compacting
+/// the posting when more than half of it was stale.
 template <typename Keep>
-void scan_posting(std::vector<RouteKey>& posting, const Keep& keep,
-                  std::vector<RouteKey>& out) {
+void scan_posting(std::vector<GroupId>& posting, const Keep& keep,
+                  std::vector<GroupId>& out) {
   std::size_t kept = 0;
-  for (const RouteKey key : posting) {
-    if (keep(key)) {
-      out.push_back(key);
+  for (const GroupId id : posting) {
+    if (keep(id)) {
+      out.push_back(id);
       ++kept;
     }
   }
   if (kept * 2 < posting.size()) {
-    std::vector<RouteKey> fresh(out.end() - static_cast<std::ptrdiff_t>(kept),
-                                out.end());
-    std::sort(fresh.begin(), fresh.end());
-    fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
-    posting = std::move(fresh);
+    posting.assign(out.end() - static_cast<std::ptrdiff_t>(kept), out.end());
+    sort_unique(posting);
   }
 }
 
 }  // namespace
 
 void RouteStore::collect_link_dependents(topo::LinkId link,
-                                         std::vector<RouteKey>& out) const {
+                                         std::vector<GroupId>& out) const {
   scan_posting(
       link_index_[link],
-      [&](RouteKey key) { return route_uses_link(routes_[key], link); }, out);
+      [&](GroupId id) {
+        const std::vector<topo::LinkId>& links = groups_[id]->footprint.links;
+        return std::binary_search(links.begin(), links.end(), link);
+      },
+      out);
 }
 
 void RouteStore::collect_node_dependents(topo::NodeId node, topo::NodeId dst,
-                                         std::vector<RouteKey>& out) const {
-  const auto it = dst_postings_.find(dst);
-  if (it == dst_postings_.end()) return;
+                                         std::vector<GroupId>& out) const {
+  if (!slabs_[dst]) return;
   scan_posting(
-      it->second.node[node],
-      [&](RouteKey key) { return routes_[key].deps.test(node); }, out);
-}
-
-void RouteStore::collect_node_dependents(topo::NodeId node,
-                                         std::vector<RouteKey>& out) const {
-  for (const topo::NodeId dst : destinations_) {
-    collect_node_dependents(node, dst, out);
-  }
+      slab(dst).node[node],
+      [&](GroupId id) { return groups_[id]->footprint.deps.test(node); }, out);
 }
 
 void RouteStore::collect_path_dependents(topo::NodeId node, topo::NodeId dst,
-                                         std::vector<RouteKey>& out) const {
-  const auto it = dst_postings_.find(dst);
-  if (it == dst_postings_.end()) return;
+                                         std::vector<GroupId>& out) const {
+  if (!slabs_[dst]) return;
   scan_posting(
-      it->second.path[node],
-      [&](RouteKey key) { return routes_[key].path_nodes.test(node); }, out);
+      slab(dst).path[node],
+      [&](GroupId id) { return groups_[id]->footprint.path_nodes.test(node); },
+      out);
 }
 
 void RouteStore::collect_path_dependents(topo::NodeId node,
-                                         std::vector<RouteKey>& out) const {
+                                         std::vector<GroupId>& out) const {
   for (const topo::NodeId dst : destinations_) {
     collect_path_dependents(node, dst, out);
   }

@@ -3,45 +3,49 @@
 // incremental engine needs to answer "which routes can a link event touch?"
 // without scanning the table.
 //
-// Index invariants (docs/ctrlplane.md):
-//   * link index — a live route is reachable from every link its encoding
+// Group interning (docs/ctrlplane.md): routes sharing (src, dst) share one
+// canonical path and so one encoding, so the store keeps liveness, core
+// path, encoding, index footprint and version once per endpoint group, and
+// a route (member) keeps only its group, tombstone flag and version stamp.
+// Re-encoding a group writes one record whatever its size: a link event
+// costs O(changed groups), not O(member routes).
+//
+// Version rule: a member reports its group's version when the group changed
+// after the member's own stamp, and otherwise its own version — the install
+// epoch when installed into a live group, 0 when installed into a dead one,
+// the withdraw epoch once withdrawn.
+//
+// Index invariants — postings hold GroupIds:
+//   * link index — a live group is reachable from every link its encoding
 //     references: each primary-path hop, the source edge's uplink, and every
 //     driven-deflection protection edge (assignment port -> link);
-//   * dependency index — a route is reachable from every node whose distance
+//   * dependency index — a group is reachable from every node whose distance
 //     field or incident-link set its canonical path selection reads: the
 //     source edge, every primary-path node, and all their neighbors (a dead
-//     route keeps only its source edge, whose distance turning finite is the
+//     group keeps only its source edge, whose distance turning finite is the
 //     only event that can revive it);
-//   * path index — a route is reachable from every node where its canonical
-//     next hop is chosen ({src} ∪ core path; {src} when dead): a link-up
-//     event can flip an equal-cost tie at its endpoints without moving any
-//     distance, and a distance *increase* (link failure) only matters to
-//     routes whose chosen path runs through the worsened node — in both
-//     cases only routes actually choosing there;
-//   * node and path postings are bucketed by destination: the engine's
-//     distance-change sweep runs per destination SPT, and a flat posting
-//     would make every sweep scan (then discard) the other destinations'
-//     routes — a |destinations|-fold overscan at scale. The buckets are
-//     *slabs owned by the destination* (one posting vector per node), so a
-//     reconvergence shard that owns a set of destinations touches only its
-//     own slabs — the sharded engine mutates disjoint memory without locks;
+//   * path index — a group is reachable from every node where its canonical
+//     next hop is chosen ({src} ∪ core path; {src} when dead): only those
+//     groups can be flipped by a link-up tie at the node or hurt by the
+//     node's distance increasing;
+//   * node and path postings and the group records live in a slab owned by
+//     the destination, so a reconvergence shard owning a set of
+//     destinations touches only its own slabs — the sharded engine mutates
+//     disjoint memory without locks. Group records never move;
 //   * the link index and the live-route counter are the only structures
 //     shared across destinations: sharded mutators buffer those side
-//     effects in a ShardLog and the engine replays the logs serially after
-//     the join (append order within a link posting is not observable —
-//     every consumer sorts or dedups);
-//   * only each (src, dst) group's *representative* route is posted: all
-//     routes sharing endpoints carry identical state, so indexing every
-//     member would multiply scan and dedup cost by the mean group size.
-//     collect_*() therefore yields representatives; expand with group();
+//     effects in a ShardLog, replayed serially after the join (link-posting
+//     append order is not observable — every consumer sorts or dedups);
 //   * postings are append-only with lazy compaction: a lookup filters stale
-//     entries against the route's current link set / dependency mask and
-//     rewrites the posting list when more than half of it was stale.
+//     entries against the group's current footprint and rewrites the
+//     posting list when more than half of it was stale.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -52,6 +56,8 @@ namespace kar::ctrlplane {
 
 /// Dense route handle: the i-th added route has key i.
 using RouteKey = std::uint64_t;
+/// Dense endpoint-group handle: groups are numbered in first-member order.
+using GroupId = std::uint32_t;
 
 /// Fixed-capacity bitset over NodeIds (the store sizes it to the topology).
 class NodeMask {
@@ -72,16 +78,6 @@ class NodeMask {
   }
   void clear() { words_.assign(words_.size(), 0); }
 
-  /// Calls `fn(bit)` for every set bit, ascending.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
-        fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-      }
-    }
-  }
-
   /// Calls `fn(bit)` for every bit set here but not in `other` (which must
   /// have the same capacity), ascending.
   template <typename Fn>
@@ -100,50 +96,63 @@ class NodeMask {
   std::vector<std::uint64_t> words_;
 };
 
-/// One stored route. `route` is meaningful only while `live` is true; a dead
-/// route (no usable path) keeps its endpoints and revives on repair.
-struct StoredRoute {
-  RouteKey key = 0;
-  /// Representative of this route's (src, dst) group — the first route
-  /// added with these endpoints (== key for that route). All routes of a
-  /// group carry identical state, so only the representative is posted in
-  /// the inverted indexes; the engine fans changes out to group(rep).
-  RouteKey rep = 0;
-  topo::NodeId src = topo::kInvalidNode;
-  topo::NodeId dst = topo::kInvalidNode;
-  bool live = false;
-  /// Tombstone: the route was withdrawn by an operator and is hidden from
-  /// clients. Keys are dense and never reused, so the slot remains and —
-  /// to preserve the representative invariant (all members of an endpoint
-  /// group carry identical path/encoding state) — keeps tracking its
-  /// group's state through reconvergence; `withdrawn` is a pure
-  /// visibility flag layered on top (docs/daemon.md).
-  bool withdrawn = false;
-  routing::EncodedRoute route;
-  /// The primary core path (switch handles, ingress to egress) the current
-  /// encoding was built from; empty when dead. Two encodings over the same
-  /// (src, dst, core path) are identical, so this is the change detector.
-  std::vector<topo::NodeId> core_path;
-  /// Update epoch that last changed this route (0 = initial load).
-  std::uint64_t version = 0;
-  /// Dependency node set (see file comment).
+/// A group's complete index footprint (dependency mask, path mask,
+/// referenced links). For a live group it is a pure function of (src, core
+/// path, encoding) on the static topology structure, so the engine builds
+/// it once per distinct path and caches it.
+struct IndexFootprint {
   NodeMask deps;
-  /// Path membership: {src} ∪ core_path ({src} alone when dead). A strict
-  /// subset of `deps` — the canonical next hop is *chosen at* these nodes,
-  /// so only they read the state of their incident links.
+  /// Path membership: {src} ∪ core_path ({src} alone when dead). A subset
+  /// of `deps` — the canonical next hop is *chosen at* these nodes.
   NodeMask path_nodes;
   /// Sorted link handles the current encoding references.
   std::vector<topo::LinkId> links;
 };
 
-/// A live route's complete index footprint (dependency mask, path mask,
-/// referenced links). A pure function of (src, core path, encoding) on the
-/// static topology structure, so callers installing the same encoding into
-/// many routes can build it once and share it.
-struct IndexFootprint {
-  NodeMask deps;
-  NodeMask path_nodes;
-  std::vector<topo::LinkId> links;
+/// The state every route of one (src, dst) endpoint group shares. `route`
+/// and `core_path` are meaningful only while `live`; a dead group (no
+/// usable path) keeps its endpoints and revives on repair.
+struct RouteGroup {
+  topo::NodeId src = topo::kInvalidNode;
+  topo::NodeId dst = topo::kInvalidNode;
+  bool live = false;
+  /// The primary core path (switch handles, ingress to egress) the
+  /// encoding was built from; empty when dead. It is the change detector.
+  std::vector<topo::NodeId> core_path;
+  routing::EncodedRoute route;
+  IndexFootprint footprint;
+  /// Epoch of the group's last state change (0 = never changed).
+  std::uint64_t version = 0;
+  /// Member keys, ascending, withdrawn ones included (docs/daemon.md).
+  std::vector<RouteKey> members;
+};
+
+/// One route's own state; everything else is its group's.
+struct RouteMember {
+  GroupId group = 0;
+  bool withdrawn = false;  ///< Tombstone: hidden from clients.
+  /// The member's own version is `stamp` when set, 0 when not (installed
+  /// into a dead group and not withdrawn since).
+  bool stamped = false;
+  /// Epoch of its own last write (join or withdraw); only later group
+  /// changes restamp it.
+  std::uint64_t stamp = 0;
+};
+
+/// By-value view of one route. `route` and `core_path` refer into the group
+/// record, which never moves, so they stay valid for the store's lifetime
+/// (and read the group's state at the time of access).
+struct StoredRoute {
+  RouteKey key;
+  GroupId group;
+  topo::NodeId src;
+  topo::NodeId dst;
+  bool live;
+  bool withdrawn;
+  /// Update epoch that last changed this route (0 = initial load).
+  std::uint64_t version;
+  const routing::EncodedRoute& route;
+  const std::vector<topo::NodeId>& core_path;
 };
 
 /// Side effects of a sharded mutation that land in structures shared
@@ -153,27 +162,35 @@ struct IndexFootprint {
 /// log serially with apply_shard_log() after the join. Replay order only
 /// permutes link-posting append order, which no consumer observes.
 struct ShardLog {
-  std::vector<std::pair<topo::LinkId, RouteKey>> link_appends;
+  std::vector<std::pair<topo::LinkId, GroupId>> link_appends;
   std::ptrdiff_t live_delta = 0;
 };
 
-/// Owns the routes and the inverted indexes. Mutation goes through the
-/// engine: add() registers a (src, dst) pair dead, set_encoding()/set_dead()
-/// swap in the reconverged state and reindex.
+/// Owns the groups, the members and the inverted indexes. Mutation goes
+/// through the engine: add() registers a member, set_encoding()/set_dead()
+/// swap in a group's reconverged state and reindex it.
 class RouteStore {
  public:
-  /// The topology reference is used to derive dependency sets and link
-  /// handles at (re)index time; it must outlive the store.
+  /// The topology derives dependency sets and link handles at (re)index
+  /// time; it must outlive the store.
   explicit RouteStore(const topo::Topology& topology);
 
-  /// Registers a route slot for (src, dst), initially dead. Keys are dense
-  /// and returned in insertion order.
-  RouteKey add(topo::NodeId src, topo::NodeId dst);
+  /// Registers a route for (src, dst) at engine epoch `epoch`, founding its
+  /// group (dead, version 0) on first sight of the pair. The member starts
+  /// unstamped (see RouteMember). Keys are dense, in insertion order.
+  RouteKey add(topo::NodeId src, topo::NodeId dst, std::uint64_t epoch = 0);
+  /// Throws std::invalid_argument unless both endpoints are edge nodes.
+  void check_endpoints(topo::NodeId src, topo::NodeId dst) const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return routes_.size(); }
-  [[nodiscard]] const StoredRoute& get(RouteKey key) const { return routes_[key]; }
+  [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
+  [[nodiscard]] std::size_t group_count() const noexcept { return groups_.size(); }
+  [[nodiscard]] StoredRoute get(RouteKey key) const;
+  [[nodiscard]] const RouteMember& member(RouteKey key) const {
+    return members_[key];
+  }
+  [[nodiscard]] const RouteGroup& group(GroupId id) const { return *groups_[id]; }
 
-  /// Routes currently live (usable path installed).
+  /// Routes currently live (members of live groups).
   [[nodiscard]] std::size_t live_count() const noexcept { return live_; }
   /// Routes tombstoned by set_withdrawn().
   [[nodiscard]] std::size_t withdrawn_count() const noexcept { return withdrawn_; }
@@ -183,101 +200,90 @@ class RouteStore {
     return destinations_;
   }
 
-  /// Members of `rep`'s endpoint group (including `rep` itself), insertion
-  /// order. Empty for keys that are not a group representative.
-  [[nodiscard]] const std::vector<RouteKey>& group(RouteKey rep) const {
-    return groups_[rep];
-  }
-
-  /// Builds the index footprint a live route with this (src, core path,
+  /// Builds the index footprint a live group with this (src, core path,
   /// encoding) would get — link-state-independent, so it can be cached.
   [[nodiscard]] IndexFootprint build_footprint(
       topo::NodeId src, const std::vector<topo::NodeId>& core_path,
       const routing::EncodedRoute& route) const;
 
-  /// Installs a fresh encoding for `key` (computed from `core_path`) and
-  /// reindexes the route. When `footprint` is non-null it is copied in
-  /// instead of being rebuilt from the topology (it must equal
-  /// build_footprint(src, core_path, route)). When `log` is non-null the
-  /// cross-shard side effects (link-posting appends, live-count delta) go
-  /// to the log instead of the shared structures — required whenever
-  /// another thread may be mutating a different destination concurrently.
-  void set_encoding(RouteKey key, std::vector<topo::NodeId> core_path,
-                    routing::EncodedRoute route, std::uint64_t version,
+  /// Installs a fresh encoding (computed from `core_path`) into group `id`,
+  /// stamps it `version` and reindexes it. A non-null `footprint` (equal to
+  /// build_footprint(src, core_path, route)) is copied in instead of being
+  /// rebuilt. A non-null `log` takes the cross-shard side effects instead
+  /// of the shared structures — required whenever another thread may be
+  /// mutating a different destination concurrently.
+  void set_encoding(GroupId id, const std::vector<topo::NodeId>& core_path,
+                    const routing::EncodedRoute& route, std::uint64_t version,
                     const IndexFootprint* footprint = nullptr,
                     ShardLog* log = nullptr);
 
-  /// Marks `key` dead (no usable path) and shrinks its index footprint to
-  /// the revive trigger (the source edge's distance). `log` as above.
-  void set_dead(RouteKey key, std::uint64_t version, ShardLog* log = nullptr);
+  /// Marks group `id` dead (no usable path), stamps it `version` and
+  /// shrinks its footprint to the revive trigger (the source edge's
+  /// distance). `log` as above.
+  void set_dead(GroupId id, std::uint64_t version, ShardLog* log = nullptr);
 
   /// Serially replays a shard's buffered cross-shard side effects. Must not
   /// run concurrently with any other store access.
   void apply_shard_log(const ShardLog& log);
 
-  /// Tombstones `key`: hides it from clients without disturbing its slot
-  /// (see StoredRoute::withdrawn). Idempotent apart from the version stamp;
-  /// callers reject double-withdrawal before reaching the store.
+  /// Marks `key` installed live: its own version becomes its join epoch.
+  void set_installed(RouteKey key) { members_[key].stamped = true; }
+
+  /// Tombstones `key` at `version`: hides it from clients without
+  /// disturbing its slot. Callers reject double-withdrawal before reaching
+  /// the store.
   void set_withdrawn(RouteKey key, std::uint64_t version);
 
-  /// Eager sweep of every posting list: drops entries whose route no longer
-  /// carries the indexed link/node in its current footprint (the same
-  /// predicate the lazy per-lookup compaction applies), then sorts and
+  /// Eager sweep of every posting list: drops entries whose group no
+  /// longer carries the indexed link/node in its current footprint (the
+  /// same predicate the lazy per-lookup compaction applies), then sorts and
   /// dedups each rewritten list. Intended for idle windows between epochs
   /// (the daemon's background compaction); returns entries dropped.
   std::size_t compact_postings();
 
-  /// Appends the representative of every group whose current encoding
-  /// references `link`. May append a key more than once; callers dedup.
-  void collect_link_dependents(topo::LinkId link, std::vector<RouteKey>& out) const;
+  /// Appends every group whose current encoding references `link`. May
+  /// append a group more than once; callers dedup.
+  void collect_link_dependents(topo::LinkId link, std::vector<GroupId>& out) const;
 
-  /// Appends the representative of every group to `dst` whose dependency
-  /// set contains `node`; the overload without `dst` spans every
-  /// destination.
+  /// Appends every group to `dst` whose dependency set contains `node`.
   void collect_node_dependents(topo::NodeId node, topo::NodeId dst,
-                               std::vector<RouteKey>& out) const;
-  void collect_node_dependents(topo::NodeId node, std::vector<RouteKey>& out) const;
+                               std::vector<GroupId>& out) const;
 
-  /// Appends the representative of every group (to `dst`, or to any
-  /// destination) whose path membership set ({src} ∪ core path) contains
-  /// `node`. Only these routes choose a next hop at `node`, so only they
-  /// can be flipped by an equal-cost candidate appearing on one of
-  /// `node`'s links without any distance moving (the link-up tie case) or
-  /// by `node`'s own distance increasing (the link-failure case — a
-  /// worsened candidate only matters where it was the one chosen).
+  /// Appends every group (to `dst`, or to any destination) whose path
+  /// membership set ({src} ∪ core path) contains `node` — the groups that
+  /// choose a next hop there (file comment, path index).
   void collect_path_dependents(topo::NodeId node, topo::NodeId dst,
-                               std::vector<RouteKey>& out) const;
-  void collect_path_dependents(topo::NodeId node, std::vector<RouteKey>& out) const;
+                               std::vector<GroupId>& out) const;
+  void collect_path_dependents(topo::NodeId node, std::vector<GroupId>& out) const;
 
  private:
-  void reindex(StoredRoute& entry, const IndexFootprint* footprint,
-               ShardLog* log);
-  [[nodiscard]] bool route_uses_link(const StoredRoute& entry, topo::LinkId link) const;
-
-  /// Every node/path posting for routes to one destination, as a slab the
-  /// destination owns (vectors indexed by NodeId). Slabs are created only
-  /// in add() — always serial — so concurrent shards may look up and
-  /// rewrite *different* destinations' slabs without synchronisation.
-  struct DstPostings {
-    std::vector<std::vector<RouteKey>> node;
-    std::vector<std::vector<RouteKey>> path;
+  /// Everything one destination owns: its groups and their node/path
+  /// postings (indexed by NodeId). Created only in add() — always serial.
+  struct DstSlab {
+    std::vector<std::vector<GroupId>> node;
+    std::vector<std::vector<GroupId>> path;
+    std::deque<RouteGroup> groups;
   };
 
-  [[nodiscard]] DstPostings& postings_for(topo::NodeId dst) const {
-    return dst_postings_.find(dst)->second;
-  }
+  /// Reindexes group `g` onto `next` by diff-append, then adopts it.
+  void reindex(GroupId id, RouteGroup& g, const IndexFootprint& next,
+               ShardLog* log);
+  void add_live(std::ptrdiff_t delta, ShardLog* log);
+
+  [[nodiscard]] DstSlab& slab(topo::NodeId dst) const { return *slabs_[dst]; }
 
   const topo::Topology* topo_;
-  std::vector<StoredRoute> routes_;
+  std::vector<RouteMember> members_;
+  /// GroupId -> record in its destination's slab (heap-held, so the
+  /// pointers survive moving the store).
+  std::vector<RouteGroup*> groups_;
   std::vector<topo::NodeId> destinations_;
-  std::vector<bool> dst_seen_;
-  /// (src, dst) -> representative key; groups_[rep] lists the members.
-  std::map<std::pair<topo::NodeId, topo::NodeId>, RouteKey> rep_of_;
-  std::vector<std::vector<RouteKey>> groups_;
-  // Postings by LinkId (shared across shards) and per-destination slabs;
-  // lazily compacted (see file comment).
-  mutable std::vector<std::vector<RouteKey>> link_index_;
-  mutable std::map<topo::NodeId, DstPostings> dst_postings_;
+  /// By NodeId; null until the node is some route's destination. The
+  /// slabs' postings are lazily compacted by const lookups.
+  std::vector<std::unique_ptr<DstSlab>> slabs_;
+  std::map<std::pair<topo::NodeId, topo::NodeId>, GroupId> group_of_;
+  /// Postings by LinkId, shared across shards; lazily compacted.
+  mutable std::vector<std::vector<GroupId>> link_index_;
   std::size_t live_ = 0;
   std::size_t withdrawn_ = 0;
 };

@@ -67,7 +67,8 @@
 namespace kar::daemon {
 
 struct KardConfig {
-  /// Topology name: fig1, fig2 or rnp28.
+  /// Topology: fig1, fig2, rnp28 or a `gen:` generator spec
+  /// (topogen::make_from_spec, e.g. "gen:fat-tree:k=8").
   std::string topology = "fig2";
   /// Attach one host edge per core switch (the endpoint pool large route
   /// tables draw from). Must match across snapshot/restore runs — the

@@ -10,9 +10,16 @@ namespace kar::daemon {
 
 namespace {
 
-// "KARDSNP1" little-endian.
-constexpr std::uint64_t kMagic = 0x31504e5344524b41ull;
-constexpr std::uint32_t kFormatVersion = 1;
+// The bytes "KARDSNP2", read little-endian. Version 1 stored every route in
+// full; its magic constant put "AKRDSNP1" on disk.
+constexpr std::uint64_t kMagic = 0x32504e534452414bull;
+constexpr std::uint64_t kMagicV1 = 0x31504e5344524b41ull;
+constexpr std::uint32_t kFormatVersion = 2;
+
+// Record flag bits.
+constexpr std::uint8_t kGroupLive = 1;
+constexpr std::uint8_t kMemberWithdrawn = 1;
+constexpr std::uint8_t kMemberStamped = 2;
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ull;
@@ -90,16 +97,17 @@ class Reader {
   std::size_t offset_ = 0;
 };
 
-/// A guard against absurd counts from a corrupted (but checksum-passing
-/// prefix of a) file: no snapshot field legitimately exceeds this.
-constexpr std::uint64_t kSaneCount = 1ull << 32;
-
-std::uint64_t checked_count(std::uint64_t n, const char* what) {
-  if (n > kSaneCount) {
+/// A record count read from the file, bounded by how many records of at
+/// least `record_bytes` each the rest of the file can hold: a corrupted
+/// count must fail here, not drive an allocation.
+std::size_t checked_count(const Reader& r, std::uint64_t n,
+                          std::size_t record_bytes, const char* what) {
+  if (n > r.remaining() / record_bytes) {
     throw SnapshotError(std::string("kard snapshot: implausible ") + what +
-                        " count " + std::to_string(n));
+                        " count " + std::to_string(n) + " (" +
+                        std::to_string(r.remaining()) + " bytes left)");
   }
-  return n;
+  return static_cast<std::size_t>(n);
 }
 
 }  // namespace
@@ -148,18 +156,18 @@ std::string serialize_store(const topo::Topology& topology,
     w.u64(bits);
   }
 
-  w.u64(store.size());
-  for (ctrlplane::RouteKey key = 0; key < store.size(); ++key) {
-    const ctrlplane::StoredRoute& entry = store.get(key);
-    w.u32(entry.src);
-    w.u32(entry.dst);
-    w.u8(static_cast<std::uint8_t>((entry.live ? 1 : 0) |
-                                   (entry.withdrawn ? 2 : 0)));
-    w.u64(entry.version);
-    if (!entry.live) continue;
-    w.u32(static_cast<std::uint32_t>(entry.core_path.size()));
-    for (const topo::NodeId node : entry.core_path) w.u32(node);
-    const routing::EncodedRoute& route = entry.route;
+  // Group records, in GroupId order (first-member order).
+  w.u64(store.group_count());
+  for (ctrlplane::GroupId id = 0; id < store.group_count(); ++id) {
+    const ctrlplane::RouteGroup& group = store.group(id);
+    w.u32(group.src);
+    w.u32(group.dst);
+    w.u8(group.live ? kGroupLive : 0);
+    w.u64(group.version);
+    if (!group.live) continue;
+    w.u32(static_cast<std::uint32_t>(group.core_path.size()));
+    for (const topo::NodeId node : group.core_path) w.u32(node);
+    const routing::EncodedRoute& route = group.route;
     w.u32(static_cast<std::uint32_t>(route.route_id.limbs().size()));
     for (const std::uint32_t limb : route.route_id.limbs()) w.u32(limb);
     w.u32(static_cast<std::uint32_t>(route.assignments.size()));
@@ -172,6 +180,16 @@ std::string serialize_store(const topo::Topology& topology,
     w.u32(route.src_edge);
     w.u32(route.dst_edge);
     w.u32(static_cast<std::uint32_t>(route.bit_length));
+  }
+
+  // Members, in key order.
+  w.u64(store.size());
+  for (ctrlplane::RouteKey key = 0; key < store.size(); ++key) {
+    const ctrlplane::RouteMember& member = store.member(key);
+    w.u32(member.group);
+    w.u8(static_cast<std::uint8_t>((member.withdrawn ? kMemberWithdrawn : 0) |
+                                   (member.stamped ? kMemberStamped : 0)));
+    w.u64(member.stamp);
   }
 
   const std::uint64_t checksum =
@@ -210,7 +228,13 @@ SnapshotInfo restore_store(std::string_view bytes, topo::Topology& topology,
   }
 
   Reader r(bytes.substr(0, body));
-  if (r.u64() != kMagic) {
+  const std::uint64_t magic = r.u64();
+  if (magic == kMagicV1) {
+    throw SnapshotError(
+        "kard snapshot: format version 1 (KARDSNP1) is no longer readable; "
+        "this build reads version 2 (KARDSNP2) only");
+  }
+  if (magic != kMagic) {
     throw SnapshotError("kard snapshot: bad magic — not a kard snapshot");
   }
   const std::uint32_t format = r.u32();
@@ -242,51 +266,121 @@ SnapshotInfo restore_store(std::string_view bytes, topo::Topology& topology,
     }
   }
 
-  info.routes = checked_count(r.u64(), "route");
-  for (std::size_t i = 0; i < info.routes; ++i) {
-    const topo::NodeId src = r.u32();
-    const topo::NodeId dst = r.u32();
-    if (src >= topology.node_count() || dst >= topology.node_count()) {
-      throw SnapshotError("kard snapshot: route " + std::to_string(i) +
-                          " references a node outside the topology");
+  // Group records are read whole first; members then found the groups in
+  // the store, which must reproduce the recorded GroupIds.
+  struct GroupRecord {
+    topo::NodeId src = 0;
+    topo::NodeId dst = 0;
+    bool live = false;
+    std::uint64_t version = 0;
+    std::vector<topo::NodeId> core;
+    routing::EncodedRoute route;
+  };
+  std::vector<GroupRecord> groups(checked_count(r, r.u64(), 17, "group"));
+  const auto edge_node = [&](std::uint32_t node) {
+    return node < topology.node_count() &&
+           topology.kind(node) == topo::NodeKind::kEdgeNode;
+  };
+  for (std::size_t id = 0; id < groups.size(); ++id) {
+    GroupRecord& g = groups[id];
+    g.src = r.u32();
+    g.dst = r.u32();
+    if (!edge_node(g.src) || !edge_node(g.dst)) {
+      throw SnapshotError("kard snapshot: group " + std::to_string(id) +
+                          " has an endpoint that is not an edge node");
     }
     const std::uint8_t flags = r.u8();
-    const std::uint64_t version = r.u64();
-    const ctrlplane::RouteKey key = store.add(src, dst);
-    if ((flags & 1) != 0) {
-      std::vector<topo::NodeId> core(checked_count(r.u32(), "core-path"));
-      for (topo::NodeId& node : core) node = r.u32();
-      routing::EncodedRoute route;
-      std::vector<std::uint32_t> limbs(checked_count(r.u32(), "limb"));
-      rns::BigUint route_id;
-      for (std::size_t l = 0; l < limbs.size(); ++l) {
-        // Rebuild little-endian: limb l contributes value << (32*l).
-        route_id += rns::BigUint(r.u32()) << (32 * l);
-      }
-      route.route_id = std::move(route_id);
-      route.assignments.resize(checked_count(r.u32(), "assignment"));
-      for (routing::PortAssignment& a : route.assignments) {
-        a.node = r.u32();
-        a.switch_id = r.u64();
-        a.port = r.u32();
-      }
-      route.primary_count = r.u32();
-      route.src_edge = r.u32();
-      route.dst_edge = r.u32();
-      route.bit_length = r.u32();
-      store.set_encoding(key, std::move(core), std::move(route), version);
-      ++info.live;
-    } else if (version != 0) {
-      store.set_dead(key, version);
+    if ((flags & ~kGroupLive) != 0) {
+      throw SnapshotError("kard snapshot: group " + std::to_string(id) +
+                          " has unknown flag bits");
     }
-    if ((flags & 2) != 0) {
-      store.set_withdrawn(key, version);
+    g.live = (flags & kGroupLive) != 0;
+    g.version = r.u64();
+    if (!g.live) continue;
+    g.core.resize(checked_count(r, r.u32(), 4, "core-path"));
+    for (topo::NodeId& node : g.core) {
+      node = r.u32();
+      if (node >= topology.node_count() ||
+          topology.kind(node) != topo::NodeKind::kCoreSwitch) {
+        throw SnapshotError("kard snapshot: group " + std::to_string(id) +
+                            " core path holds a non-switch node");
+      }
+    }
+    if (g.core.empty()) {
+      throw SnapshotError("kard snapshot: live group " + std::to_string(id) +
+                          " has an empty core path");
+    }
+    const std::size_t limbs = checked_count(r, r.u32(), 4, "limb");
+    rns::BigUint route_id;
+    for (std::size_t l = 0; l < limbs; ++l) {
+      // Rebuild little-endian: limb l contributes value << (32*l).
+      route_id += rns::BigUint(r.u32()) << (32 * l);
+    }
+    g.route.route_id = std::move(route_id);
+    g.route.assignments.resize(checked_count(r, r.u32(), 16, "assignment"));
+    for (routing::PortAssignment& a : g.route.assignments) {
+      a.node = r.u32();
+      a.switch_id = r.u64();
+      a.port = r.u32();
+      if (a.node >= topology.node_count()) {
+        throw SnapshotError("kard snapshot: group " + std::to_string(id) +
+                            " assigns a port on a node outside the topology");
+      }
+    }
+    g.route.primary_count = r.u32();
+    g.route.src_edge = r.u32();
+    g.route.dst_edge = r.u32();
+    g.route.bit_length = r.u32();
+  }
+
+  info.routes = checked_count(r, r.u64(), 13, "route");
+  for (std::size_t i = 0; i < info.routes; ++i) {
+    const std::uint32_t id = r.u32();
+    const std::uint8_t flags = r.u8();
+    const std::uint64_t stamp = r.u64();
+    const std::string where = "kard snapshot: route " + std::to_string(i);
+    if (id >= groups.size() || id > store.group_count()) {
+      throw SnapshotError(where + " names group " + std::to_string(id) +
+                          ", out of range or out of first-member order");
+    }
+    if ((flags & ~(kMemberWithdrawn | kMemberStamped)) != 0) {
+      throw SnapshotError(where + " has unknown flag bits");
+    }
+    const bool withdrawn = (flags & kMemberWithdrawn) != 0;
+    const bool stamped = (flags & kMemberStamped) != 0;
+    if (withdrawn && !stamped) {
+      throw SnapshotError(where + " is withdrawn without a version stamp");
+    }
+    const ctrlplane::RouteKey key =
+        store.add(groups[id].src, groups[id].dst, stamp);
+    if (store.member(key).group != id) {
+      throw SnapshotError(where + ": group " + std::to_string(id) +
+                          " repeats the endpoints of an earlier group");
+    }
+    if (withdrawn) {
+      store.set_withdrawn(key, stamp);
       ++info.withdrawn;
+    } else if (stamped) {
+      store.set_installed(key);
     }
   }
+  if (store.group_count() != groups.size()) {
+    throw SnapshotError("kard snapshot: group " +
+                        std::to_string(store.group_count()) +
+                        " has no member route");
+  }
+  for (ctrlplane::GroupId id = 0; id < groups.size(); ++id) {
+    const GroupRecord& g = groups[id];
+    if (g.live) {
+      store.set_encoding(id, g.core, g.route, g.version);
+    } else if (g.version != 0) {
+      store.set_dead(id, g.version);
+    }
+  }
+  info.live = store.live_count();
   if (r.remaining() != 0) {
     throw SnapshotError("kard snapshot: " + std::to_string(r.remaining()) +
-                        " trailing bytes after the last route record");
+                        " trailing bytes after the last member record");
   }
   return info;
 }

@@ -1,16 +1,19 @@
 // RouteStore snapshot/restore (docs/daemon.md §snapshot format).
 //
 // A snapshot captures everything a kard restart needs to resume serving
-// without a full re-encode: every stored route's endpoints, liveness,
-// tombstone flag, version, core path and complete encoding (route-ID
-// limbs, port assignments, bit length), plus the topology's link up/down
-// states and the engine's epoch version. The topology *structure* is not
+// without a full re-encode, in the store's own group-interned layout: one
+// record per (src, dst) endpoint group (endpoints, liveness, version, core
+// path and complete encoding — route-ID limbs, port assignments, bit
+// length), then one small record per route (its group, tombstone and
+// stamp flags, version stamp), plus the topology's link up/down states and
+// the engine's epoch version. The topology *structure* is not
 // serialized — the daemon rebuilds it from its --topology flag and a
 // fingerprint in the header rejects a snapshot taken on a different
 // structure.
 //
-// Format: versioned little-endian binary with an FNV-1a 64 checksum
-// trailer over every preceding byte. Serialization is a pure function of
+// Format: versioned little-endian binary (magic KARDSNP2; a version-1
+// file is rejected by name, there is no v1 reader) with an FNV-1a 64
+// checksum trailer over every preceding byte. Serialization is a pure function of
 // (store, link states, engine version): serialize → restore → serialize
 // is byte-identical (tests/test_snapshot.cpp pins it), which is what lets
 // the e2e smoke prove a restart lossless by comparing files.

@@ -64,10 +64,12 @@ void ReactiveController::react_incremental() {
   std::vector<ctrlplane::LinkChange> events = std::move(pending_events_);
   pending_events_.clear();
   const ctrlplane::EpochResult epoch = engine_->apply(events);
-  recomputes_ += epoch.updated.size();
+  const std::vector<ctrlplane::RouteKey> updated =
+      ctrlplane::updated_keys(*store_, epoch);
+  recomputes_ += updated.size();
   std::vector<Network::RouteInstall> batch;
-  batch.reserve(epoch.updated.size());
-  for (const ctrlplane::RouteKey key : epoch.updated) {
+  batch.reserve(updated.size());
+  for (const ctrlplane::RouteKey key : updated) {
     const ctrlplane::StoredRoute& entry = store_->get(key);
     batch.push_back(
         Network::RouteInstall{key, entry.live ? &entry.route : nullptr});
@@ -75,7 +77,7 @@ void ReactiveController::react_incremental() {
   net_->install_routes(epoch.version, batch);
   // Only flows whose route actually changed (and still exists) hear about
   // it — the affected-set contract.
-  for (const ctrlplane::RouteKey key : epoch.updated) {
+  for (const ctrlplane::RouteKey key : updated) {
     const ctrlplane::StoredRoute& entry = store_->get(key);
     if (!entry.live) continue;
     const WatchedFlow& flow = flows_[key];

@@ -30,6 +30,7 @@ namespace {
 using ctrlplane::DynamicSpt;
 using ctrlplane::EngineConfig;
 using ctrlplane::EngineMode;
+using ctrlplane::GroupId;
 using ctrlplane::LinkChange;
 using ctrlplane::NodeMask;
 using ctrlplane::ReconvergenceEngine;
@@ -105,32 +106,35 @@ TEST(RouteStoreTest, IndexesFollowReencodeWithdrawAndRevive) {
             (std::vector<topo::NodeId>{t.at("SW4"), t.at("SW7"), t.at("SW11")}));
 
   const auto link_dependents = [&](const char* a, const char* b) {
-    std::vector<RouteKey> out;
+    std::vector<GroupId> out;
     store.collect_link_dependents(*t.link_between(t.at(a), t.at(b)), out);
     return out;
   };
   const auto node_dependents = [&](const char* name) {
-    std::vector<RouteKey> out;
-    store.collect_node_dependents(t.at(name), out);
+    std::vector<GroupId> out;
+    store.collect_node_dependents(t.at(name), t.at("D"), out);
     return out;
   };
+  const GroupId group = store.get(key).group;
 
-  EXPECT_EQ(link_dependents("SW7", "SW11"), (std::vector<RouteKey>{key}));
-  EXPECT_EQ(link_dependents("S", "SW4"), (std::vector<RouteKey>{key}));
-  EXPECT_EQ(node_dependents("SW4"), (std::vector<RouteKey>{key}));
-  EXPECT_EQ(node_dependents("S"), (std::vector<RouteKey>{key}));
+  EXPECT_EQ(link_dependents("SW7", "SW11"), (std::vector<GroupId>{group}));
+  EXPECT_EQ(link_dependents("S", "SW4"), (std::vector<GroupId>{group}));
+  EXPECT_EQ(node_dependents("SW4"), (std::vector<GroupId>{group}));
+  EXPECT_EQ(node_dependents("S"), (std::vector<GroupId>{group}));
 
   // Re-encode around a failed primary link: the stale link posting filters.
   const topo::LinkId primary = *t.link_between(t.at("SW7"), t.at("SW11"));
   t.set_link_up(primary, false);
   const auto epoch1 = engine.apply({{primary, false}});
-  EXPECT_EQ(epoch1.updated, (std::vector<RouteKey>{key}));
+  EXPECT_EQ(epoch1.updated_groups, (std::vector<GroupId>{group}));
+  EXPECT_EQ(ctrlplane::updated_keys(store, epoch1),
+            (std::vector<RouteKey>{key}));
   ASSERT_TRUE(store.get(key).live);
   EXPECT_EQ(store.get(key).core_path,
             (std::vector<topo::NodeId>{t.at("SW4"), t.at("SW7"), t.at("SW5"),
                                        t.at("SW11")}));
   EXPECT_TRUE(link_dependents("SW7", "SW11").empty());
-  EXPECT_EQ(link_dependents("SW5", "SW11"), (std::vector<RouteKey>{key}));
+  EXPECT_EQ(link_dependents("SW5", "SW11"), (std::vector<GroupId>{group}));
 
   // Withdraw: D's only uplink dies; the dead route keeps only its revive
   // trigger (the source edge's distance).
@@ -140,7 +144,7 @@ TEST(RouteStoreTest, IndexesFollowReencodeWithdrawAndRevive) {
   EXPECT_EQ(epoch2.stats.withdrawn, 1u);
   EXPECT_FALSE(store.get(key).live);
   EXPECT_TRUE(node_dependents("SW4").empty());
-  EXPECT_EQ(node_dependents("S"), (std::vector<RouteKey>{key}));
+  EXPECT_EQ(node_dependents("S"), (std::vector<GroupId>{group}));
   EXPECT_TRUE(link_dependents("S", "SW4").empty());
 
   // Revive on repair.
@@ -306,7 +310,8 @@ TEST(ReconvergenceEngineTest, IncrementalMatchesFullRecomputeOnFig2) {
     const auto rf = full.apply(events);
     EXPECT_EQ(ri.version, rf.version);
     // Both modes report exactly the actually-changed keys.
-    EXPECT_EQ(ri.updated, rf.updated);
+    EXPECT_EQ(ctrlplane::updated_keys(inc_store, ri),
+              ctrlplane::updated_keys(full_store, rf));
     expect_same_tables(t, inc_store, full_store);
   };
   run_epoch({flip(t, "SW7", "SW13", false)});
@@ -319,6 +324,92 @@ TEST(ReconvergenceEngineTest, IncrementalMatchesFullRecomputeOnFig2) {
   // scan. (On a 15-node net where every route crosses the core the two can
   // be equal; the scaling win is bench/churn_convergence's claim.)
   EXPECT_LE(inc.totals().candidates, full.totals().candidates);
+}
+
+// The member version rule (route_store.hpp), pinned epoch by epoch on
+// fig1's single S -> D group and cross-checked against the full-recompute
+// oracle, which decides and stamps every route on its own.
+TEST(ReconvergenceEngineTest, MemberVersionRuleMatchesFullRecompute) {
+  Scenario s = topo::make_fig1_network();
+  topo::Topology& t = s.topology;
+  RouteStore inc_store(t);
+  RouteStore full_store(t);
+  EngineConfig full_config;
+  full_config.mode = EngineMode::kFullRecompute;
+  ReconvergenceEngine inc(t, inc_store);
+  ReconvergenceEngine full(t, full_store, full_config);
+  const std::pair<topo::NodeId, topo::NodeId> s_to_d{t.at("S"), t.at("D")};
+  const topo::LinkId uplink = *t.link_between(t.at("SW11"), t.at("D"));
+  const topo::LinkId primary = *t.link_between(t.at("SW7"), t.at("SW11"));
+
+  // Runs one epoch on both engines; returns the changed keys after
+  // checking both engines agree on them and on every version stamp.
+  const auto epoch = [&](std::vector<LinkChange> events,
+                         std::vector<std::pair<topo::NodeId, topo::NodeId>>
+                             installs,
+                         std::vector<RouteKey> withdraws) {
+    for (const LinkChange& e : events) t.set_link_up(e.link, e.up);
+    const auto ri = inc.apply(events, installs, withdraws);
+    const auto rf = full.apply(events, installs, withdraws);
+    EXPECT_EQ(ri.version, rf.version);
+    const std::vector<RouteKey> changed = ctrlplane::updated_keys(inc_store, ri);
+    EXPECT_EQ(changed, ctrlplane::updated_keys(full_store, rf));
+    for (RouteKey key = 0; key < inc_store.size(); ++key) {
+      EXPECT_EQ(inc_store.get(key).version, full_store.get(key).version)
+          << "epoch " << ri.version << ", route " << key;
+    }
+    return changed;
+  };
+  const auto version = [&](RouteKey key) { return inc_store.get(key).version; };
+
+  // E1: D's only uplink fails. E2: route 0 is installed into the dead
+  // group — its version reads 0, and it is not a changed key.
+  EXPECT_TRUE(epoch({{uplink, false}}, {}, {}).empty());
+  EXPECT_TRUE(epoch({}, {s_to_d}, {}).empty());
+  EXPECT_FALSE(inc_store.get(0).live);
+  EXPECT_EQ(version(0), 0u);
+
+  // E3: repair — the group revives and restamps its member.
+  EXPECT_EQ(epoch({{uplink, true}}, {}, {}), (std::vector<RouteKey>{0}));
+  EXPECT_TRUE(inc_store.get(0).live);
+  EXPECT_EQ(version(0), 3u);
+
+  // E4: route 1 joins the live group at its install epoch; route 0 keeps 3.
+  EXPECT_EQ(epoch({}, {s_to_d}, {}), (std::vector<RouteKey>{1}));
+  EXPECT_EQ(version(0), 3u);
+  EXPECT_EQ(version(1), 4u);
+
+  // E5: withdraw route 1. E6: the primary link fails and the group
+  // re-encodes — every member is restamped, the withdrawn one included.
+  EXPECT_EQ(epoch({}, {}, {1}), (std::vector<RouteKey>{1}));
+  EXPECT_EQ(version(1), 5u);
+  EXPECT_EQ(epoch({{primary, false}}, {}, {}), (std::vector<RouteKey>{0, 1}));
+  EXPECT_EQ(version(0), 6u);
+  EXPECT_EQ(version(1), 6u);
+
+  // E7: route 2 joins (live). E8: the group re-encodes (primary repaired)
+  // in the same epoch that withdraws route 2: it reads the withdraw epoch.
+  EXPECT_EQ(epoch({}, {s_to_d}, {}), (std::vector<RouteKey>{2}));
+  EXPECT_EQ(epoch({{primary, true}}, {}, {2}),
+            (std::vector<RouteKey>{0, 1, 2}));
+  EXPECT_EQ(version(2), 8u);
+  EXPECT_TRUE(inc_store.get(2).withdrawn);
+
+  // E9: the uplink fails and route 3 is installed in the same epoch, after
+  // the group died: the earlier members read 9, the newcomer 0.
+  EXPECT_EQ(epoch({{uplink, false}}, {s_to_d}, {}),
+            (std::vector<RouteKey>{0, 1, 2}));
+  EXPECT_EQ(version(0), 9u);
+  EXPECT_EQ(version(2), 9u);
+  EXPECT_EQ(version(3), 0u);
+  EXPECT_EQ(inc_store.live_count(), 0u);
+
+  // E10: repair revives all four; the dead-installed member is restamped.
+  EXPECT_EQ(epoch({{uplink, true}}, {}, {}),
+            (std::vector<RouteKey>{0, 1, 2, 3}));
+  EXPECT_EQ(version(3), 10u);
+  EXPECT_EQ(inc_store.live_count(), 4u);
+  EXPECT_EQ(inc_store.group_count(), 1u);
 }
 
 TEST(ReconvergenceEngineTest, MetricsFamiliesAndFallbackCounter) {

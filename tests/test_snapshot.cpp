@@ -7,7 +7,12 @@
 //     further churn;
 //   * every malformation is rejected with a SnapshotError: truncation at
 //     any prefix length, checksum corruption at any byte, bad magic, bad
-//     format version, a topology-fingerprint mismatch, and trailing bytes.
+//     format version, a topology-fingerprint mismatch, and trailing bytes;
+//   * the v2 layout (group records, then member records) is validated
+//     structurally too: truncation at every byte with the checksum
+//     recomputed, and resealed corruptions of group/member fields, are
+//     rejected by the parser itself; a v1 (KARDSNP1) file is rejected by
+//     name.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -98,7 +103,7 @@ void expect_stores_equal(const RouteStore& a, const RouteStore& b) {
     const auto& rb = b.get(key);
     EXPECT_EQ(ra.src, rb.src);
     EXPECT_EQ(ra.dst, rb.dst);
-    EXPECT_EQ(ra.rep, rb.rep) << "group structure differs at key " << key;
+    EXPECT_EQ(ra.group, rb.group) << "group structure differs at key " << key;
     EXPECT_EQ(ra.live, rb.live);
     EXPECT_EQ(ra.withdrawn, rb.withdrawn);
     EXPECT_EQ(ra.version, rb.version);
@@ -172,7 +177,9 @@ TEST(Snapshot, RestoredEngineConvergesIdentically) {
   const auto r1 = fx.engine.apply(repair);
   const auto r2 = engine.apply(repair);
   EXPECT_EQ(r1.version, r2.version);
-  EXPECT_EQ(r1.updated, r2.updated);
+  EXPECT_EQ(r1.updated_groups, r2.updated_groups);
+  EXPECT_EQ(ctrlplane::updated_keys(fx.store, r1),
+            ctrlplane::updated_keys(restored, r2));
   expect_stores_equal(fx.store, restored);
 }
 
@@ -209,6 +216,181 @@ TEST(Snapshot, RejectsBitCorruptionAnywhere) {
                  SnapshotError)
         << "bit flip at byte " << at << " was accepted";
   }
+}
+
+/// Recomputes the FNV-1a 64 trailer over a (possibly edited) body, so a
+/// structural defect reaches the parser instead of the checksum check.
+std::string reseal(std::string body) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : body) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x00000100000001b3ull;
+  }
+  for (int i = 0; i < 8; ++i) body.push_back(static_cast<char>(hash >> (8 * i)));
+  return body;
+}
+
+void put_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) bytes[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+/// Byte offsets of the v2 sections, derived from the store they encode.
+struct Layout {
+  std::vector<std::size_t> group;  // start of each group record
+  std::size_t members = 0;         // start of the first member record
+};
+
+Layout layout_of(const topo::Topology& t, const RouteStore& store) {
+  Layout l;
+  // magic, format, fingerprint, engine version, link count + bitmap words.
+  std::size_t at = 8 + 4 + 8 + 8 + 4 + (t.link_count() + 63) / 64 * 8;
+  at += 8;  // group count
+  for (ctrlplane::GroupId id = 0; id < store.group_count(); ++id) {
+    const ctrlplane::RouteGroup& g = store.group(id);
+    l.group.push_back(at);
+    at += 4 + 4 + 1 + 8;
+    if (!g.live) continue;
+    at += 4 + 4 * g.core_path.size();
+    at += 4 + 4 * g.route.route_id.limbs().size();
+    at += 4 + 16 * g.route.assignments.size();
+    at += 16;
+  }
+  l.members = at + 8;  // after the member count
+  return l;
+}
+
+TEST(Snapshot, ParserRejectsResealedTruncationAtEveryByte) {
+  auto rng = testsupport::make_rng(7109, "Snapshot.ResealedTruncation");
+  Fixture fx("fig2", 12, rng);
+  const std::string bytes = fx.bytes();
+  const std::string body = bytes.substr(0, bytes.size() - 8);
+  // Every strict prefix of the body — so every field boundary of every
+  // header, group and member record — with a valid checksum.
+  for (std::size_t len = 0; len < body.size(); ++len) {
+    topo::Scenario fresh = scenario_for("fig2");
+    RouteStore restored(fresh.topology);
+    EXPECT_THROW((void)restore_store(reseal(body.substr(0, len)),
+                                     fresh.topology, restored),
+                 SnapshotError)
+        << "resealed prefix of " << len << " body bytes was accepted";
+  }
+}
+
+TEST(Snapshot, RejectsBitFlipAtEveryByte) {
+  auto rng = testsupport::make_rng(7110, "Snapshot.EveryByte");
+  Fixture fx("fig1", 6, rng);
+  const std::string bytes = fx.bytes();
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    std::string corrupt = bytes;
+    corrupt[at] = static_cast<char>(corrupt[at] ^ (1 << (at % 8)));
+    topo::Scenario fresh = scenario_for("fig1");
+    RouteStore restored(fresh.topology);
+    EXPECT_THROW((void)restore_store(corrupt, fresh.topology, restored),
+                 SnapshotError)
+        << "bit flip at byte " << at << " was accepted";
+  }
+}
+
+TEST(Snapshot, ParserRejectsResealedStructuralCorruption) {
+  auto rng = testsupport::make_rng(7111, "Snapshot.Structural");
+  Fixture fx("fig2", 12, rng);
+  ASSERT_GE(fx.store.group_count(), 2u);
+  const std::string bytes = fx.bytes();
+  const std::string body = bytes.substr(0, bytes.size() - 8);
+  const topo::Topology& t = fx.scenario.topology;
+  const Layout l = layout_of(t, fx.store);
+  const topo::NodeId a_switch =
+      t.nodes_of_kind(topo::NodeKind::kCoreSwitch).front();
+  const std::size_t member_bytes = 4 + 1 + 8;
+  ASSERT_EQ(l.members + fx.store.size() * member_bytes, body.size());
+
+  const auto expect_rejected = [&](const std::string& what, std::string edited) {
+    topo::Scenario fresh = scenario_for("fig2");
+    RouteStore restored(fresh.topology);
+    EXPECT_THROW(
+        (void)restore_store(reseal(std::move(edited)), fresh.topology, restored),
+        SnapshotError)
+        << what << " was accepted";
+  };
+  const auto edit = [&](std::size_t at, const auto& change) {
+    std::string copy = body;
+    change(copy, at);
+    return copy;
+  };
+  const std::size_t g0 = l.group[0];
+  const std::size_t g1 = l.group[1];
+  const std::size_t m0 = l.members;
+  const std::size_t m1 = l.members + member_bytes;
+
+  expect_rejected("a group endpoint on a core switch",
+                  edit(g0, [&](std::string& b, std::size_t at) {
+                    put_u32(b, at, a_switch);
+                  }));
+  expect_rejected("a group endpoint outside the topology",
+                  edit(g0 + 4, [&](std::string& b, std::size_t at) {
+                    put_u32(b, at, 1u << 30);
+                  }));
+  expect_rejected("an unknown group flag bit",
+                  edit(g0 + 8, [](std::string& b, std::size_t at) {
+                    b[at] = static_cast<char>(b[at] | 0x40);
+                  }));
+  expect_rejected("a second group repeating the first's endpoints",
+                  edit(g1, [&](std::string& b, std::size_t at) {
+                    b.replace(at, 8, body.substr(g0, 8));
+                  }));
+  expect_rejected("a member naming a group past the group count",
+                  edit(m0, [&](std::string& b, std::size_t at) {
+                    put_u32(b, at, static_cast<std::uint32_t>(
+                                       fx.store.group_count()));
+                  }));
+  expect_rejected("a member founding groups out of first-member order",
+                  edit(m0, [&](std::string& b, std::size_t at) {
+                    put_u32(b, at, 1);
+                  }));
+  expect_rejected("an unknown member flag bit",
+                  edit(m1 + 4, [](std::string& b, std::size_t at) {
+                    b[at] = static_cast<char>(b[at] | 0x80);
+                  }));
+  expect_rejected("a withdrawn member without a version stamp",
+                  edit(m1 + 4, [](std::string& b, std::size_t at) {
+                    b[at] = 1;
+                  }));
+  expect_rejected("a group count one too high",
+                  edit(g0 - 8, [&](std::string& b, std::size_t at) {
+                    put_u32(b, at, static_cast<std::uint32_t>(
+                                       fx.store.group_count() + 1));
+                  }));
+  expect_rejected("a group count past what the file can hold",
+                  edit(g0 - 8, [](std::string& b, std::size_t at) {
+                    put_u32(b, at, 0xffffffffu);
+                  }));
+  expect_rejected("a member count one too low",
+                  edit(m0 - 8, [&](std::string& b, std::size_t at) {
+                    put_u32(b, at, static_cast<std::uint32_t>(
+                                       fx.store.size() - 1));
+                  }));
+}
+
+TEST(Snapshot, RejectsVersionOneFileByName) {
+  auto rng = testsupport::make_rng(7112, "Snapshot.V1");
+  Fixture fx("fig1", 4, rng);
+  const std::string bytes = fx.bytes();
+  ASSERT_EQ(bytes.substr(0, 8), "KARDSNP2");
+  // A v1 header (magic and format version) in front of a valid checksum.
+  // Version 1's magic constant wrote its name byte-swapped on disk.
+  std::string body = bytes.substr(0, bytes.size() - 8);
+  body.replace(0, 8, "AKRDSNP1");
+  put_u32(body, 8, 1);
+  topo::Scenario fresh = scenario_for("fig1");
+  RouteStore restored(fresh.topology);
+  try {
+    (void)restore_store(reseal(body), fresh.topology, restored);
+    FAIL() << "a v1 snapshot was accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(restored.size(), 0u);
 }
 
 TEST(Snapshot, RejectsTrailingGarbage) {

@@ -11,6 +11,11 @@
 // Registered under the `bench` ctest label next to the throughput smokes:
 // an allocation sneaking into the hot loop is a performance regression
 // before it is anything else.
+//
+// The same hook pins the control plane's group interning: a link epoch
+// that re-encodes one endpoint group makes exactly as many allocations
+// whether the group has 1 member route or 1,000 — the epoch writes one
+// group record, never per-member state.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +24,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "ctrlplane/engine.hpp"
+#include "ctrlplane/route_store.hpp"
 #include "dataplane/arena.hpp"
 #include "dataplane/batch.hpp"
 #include "dataplane/switch.hpp"
@@ -128,6 +135,44 @@ TEST(ZeroAlloc, WarmedBatchedForwardLoopDoesNotTouchTheHeap) {
     EXPECT_EQ(g_allocations, 0u)
         << to_string(technique) << " allocated in the warmed forward loop";
   }
+}
+
+/// Heap allocations of one link-failure epoch on rnp28 that re-encodes the
+/// single group of `members` identical routes (after a warm-up fail/repair
+/// cycle has populated the encoding memo and grown every posting).
+std::uint64_t link_epoch_allocations(std::size_t members) {
+  topo::Scenario s = topo::make_rnp28();
+  topo::Topology& t = s.topology;
+  const std::vector<topo::NodeId> hosts = topo::attach_host_edges(t);
+  ctrlplane::RouteStore store(t);
+  ctrlplane::ReconvergenceEngine engine(t, store);
+  for (std::size_t i = 0; i < members; ++i) {
+    (void)engine.add_route(hosts.front(), hosts.back());
+  }
+  const std::vector<topo::NodeId> core = store.get(0).core_path;
+  EXPECT_GE(core.size(), 2u);
+  const topo::LinkId link = *t.link_between(core[0], core[1]);
+  const auto flip = [&](bool up) {
+    t.set_link_up(link, up);
+    const std::vector<ctrlplane::LinkChange> events{{link, up}};
+    g_allocations = 0;
+    g_counting = true;
+    const ctrlplane::EpochResult result = engine.apply(events);
+    g_counting = false;
+    EXPECT_EQ(result.updated_groups.size(), 1u);
+    EXPECT_EQ(result.stats.reencoded, members);
+    return g_allocations;
+  };
+  (void)flip(false);
+  (void)flip(true);
+  return flip(false);
+}
+
+TEST(ZeroAlloc, LinkEpochAllocationsDoNotScaleWithGroupSize) {
+  const std::uint64_t one = link_epoch_allocations(1);
+  const std::uint64_t thousand = link_epoch_allocations(1000);
+  EXPECT_GT(one, 0u);  // the hook is live on this path
+  EXPECT_EQ(one, thousand);
 }
 
 }  // namespace
