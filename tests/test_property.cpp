@@ -2,6 +2,7 @@
 // across randomized topologies, routes and failure choices.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "analysis/markov.hpp"
@@ -335,11 +336,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FailoverProperty,
 // Eq. 9 (bit length) monotonicity across protection levels, all scenarios.
 // ---------------------------------------------------------------------------
 
-class ScenarioBitLength
-    : public ::testing::TestWithParam<Scenario (*)(topo::LinkParams)> {};
+// A scenario builder with its name. PrintTo prints only the name, so test
+// names stay stable across builds and runs (a bare function pointer would
+// print its address).
+struct NamedScenario {
+  const char* name;
+  Scenario (*make)(topo::LinkParams);
+};
+
+void PrintTo(const NamedScenario& n, std::ostream* os) { *os << n.name; }
+
+class ScenarioBitLength : public ::testing::TestWithParam<NamedScenario> {};
 
 TEST_P(ScenarioBitLength, ProtectionCostsBitsMonotonically) {
-  const Scenario s = GetParam()(topo::LinkParams{});
+  const Scenario s = GetParam().make(topo::LinkParams{});
   const routing::Controller controller(s.topology);
   const auto u = controller.encode_scenario(s.route,
                                             topo::ProtectionLevel::kUnprotected);
@@ -355,11 +365,12 @@ TEST_P(ScenarioBitLength, ProtectionCostsBitsMonotonically) {
   EXPECT_LE(f.route_id.bit_length(), f.bit_length + 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(PaperScenarios, ScenarioBitLength,
-                         ::testing::Values(&topo::make_fig1_network,
-                                           &topo::make_experimental15,
-                                           &topo::make_rnp28,
-                                           &topo::make_fig8_redundant));
+INSTANTIATE_TEST_SUITE_P(
+    PaperScenarios, ScenarioBitLength,
+    ::testing::Values(NamedScenario{"fig1", &topo::make_fig1_network},
+                      NamedScenario{"fig2", &topo::make_experimental15},
+                      NamedScenario{"rnp28", &topo::make_rnp28},
+                      NamedScenario{"fig8", &topo::make_fig8_redundant}));
 
 }  // namespace
 }  // namespace kar
