@@ -104,6 +104,14 @@ routing::EncodedRoute ReconvergenceEngine::encode_fresh(
     DstState& state, topo::NodeId src, topo::NodeId dst,
     const std::vector<topo::NodeId>& core) {
   if (!config_.plan_protection) return controller_.encode_path(src, core, dst);
+  if (config_.mode == EngineMode::kIncremental) {
+    // Reached only on an encoding-memo miss, i.e. a new (src, core) pair:
+    // with one host edge per switch a core path has one src, so a
+    // protection memo beside the encoding memo would only hold duplicates.
+    return controller_.encode_path(
+        src, core, dst,
+        routing::plan_driven_deflections(*topo_, core, dst, config_.planner));
+  }
   auto it = state.protection.find(core);
   if (it == state.protection.end()) {
     it = state.protection

@@ -14,8 +14,8 @@
 //   3. re-extracts each candidate group's canonical path from its SPT —
 //      the store interns one record per (src, dst) endpoint group, since
 //      routes sharing endpoints share paths and encodings — and only when
-//      the path actually differs re-encodes (primary + cached
-//      driven-deflection protection, both memoised on the static topology)
+//      the path actually differs re-encodes (primary + driven-deflection
+//      protection, memoised per (src, core path) on the static topology)
 //      and writes the group record once with the new epoch version, which
 //      every member then reports (route_store.hpp's version rule).
 // Every route outside the candidate set provably keeps its canonical path
@@ -27,8 +27,10 @@
 //
 // Protection is planned on the *intended* topology (the planner ignores
 // failures, mirroring the paper's controller), so a route's protection set
-// is a pure function of (destination, primary core path) — the engine
-// memoises it and never invalidates the cache.
+// is a pure function of (destination, primary core path) and its encoding
+// of (src, destination, core path). Incremental mode memoises whole
+// encodings, full-recompute mode protection sets; neither memo is ever
+// invalidated.
 //
 // Sharded incremental mode (EngineConfig::shards > 1): every per-destination
 // structure — the DynamicSpt, the protection and encoding memos, the store's
@@ -216,8 +218,9 @@ class ReconvergenceEngine {
   /// the serial path (add_route, warm_spts, epoch preamble).
   struct DstState {
     std::unique_ptr<DynamicSpt> spt;
-    /// Protection memo: core path -> planned assignments (pure function
-    /// of the intended topology; never invalidated).
+    /// Protection memo (full-recompute mode only): core path -> planned
+    /// assignments (pure function of the intended topology; never
+    /// invalidated).
     std::map<std::vector<topo::NodeId>,
              std::vector<std::pair<topo::NodeId, topo::NodeId>>>
         protection;
@@ -238,7 +241,9 @@ class ReconvergenceEngine {
   bool extract_core(DstState& state, topo::NodeId src,
                     std::vector<topo::NodeId>& core);
   /// Encodes (src, dst, core) from scratch: primary path plus, when
-  /// configured, the protection plan (memoised per core path).
+  /// configured, the protection plan (memoised per core path in
+  /// full-recompute mode; incremental mode memoises the whole encoding
+  /// in lookup_encoding instead).
   routing::EncodedRoute encode_fresh(DstState& state, topo::NodeId src,
                                      topo::NodeId dst,
                                      const std::vector<topo::NodeId>& core);

@@ -1,6 +1,7 @@
 #include "daemon/daemon.hpp"
 
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -147,6 +148,12 @@ void Kard::register_metrics() {
   epoch_seconds_ = registry_.histogram(
       "kar_daemon_epoch_seconds", "Engine wall time per batched epoch.",
       {1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0});
+  admission_wait_seconds_ = registry_.histogram(
+      "kar_daemon_admission_wait_seconds",
+      "Time a batched request waits in the admission queue before the "
+      "flusher takes its batch (excludes the epoch itself and any "
+      "coalescing-window hold).",
+      {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0});
   epoch_ops_ = registry_.histogram(
       "kar_daemon_epoch_ops", "Mutation requests coalesced into one epoch.",
       {1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0});
@@ -430,13 +437,16 @@ void Kard::enqueue_mutation(const ParsedRequest& parsed,
       return;
   }
   op.promise = std::move(promise);
+  const bool urgent = op.verb == Verb::kLinkUp || op.verb == Verb::kLinkDown;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     pending_.push_back(std::move(op));
+    if (urgent) link_pending_ = true;
     queue_depth_gauge_.set(static_cast<double>(pending_.size()));
   }
   // Always wake the flusher: it may be idle-waiting for a first op, and a
-  // full batch must flush immediately rather than waiting out the timer.
+  // full batch or a link request must flush immediately rather than
+  // waiting out the timer.
   queue_cv_.notify_all();
 }
 
@@ -475,21 +485,31 @@ void Kard::flusher_loop() {
     }
     // Bounded-latency flush: wait for a full batch, but never keep the
     // oldest op waiting past the flush interval — nor an open coalescing
-    // window past its own deadline.
+    // window past its own deadline. A pending link request is urgent: it
+    // takes the whole queue at once (installs and withdrawals already
+    // waiting ride its epoch), since every moment kard sits on a failure
+    // keeps traffic on deflected paths. Link requests arriving during that
+    // epoch form the next batch, so a burst still nets into one epoch.
     auto deadline =
         pending_.front().enqueued +
         std::chrono::duration_cast<Clock::duration>(
             std::chrono::duration<double>(config_.flush_interval_s));
     if (window_open && window_deadline_ < deadline) deadline = window_deadline_;
     queue_cv_.wait_until(lock, deadline, [this] {
-      return pending_.size() >= config_.flush_max_ops || stop_flusher_;
+      return pending_.size() >= config_.flush_max_ops || link_pending_ ||
+             stop_flusher_;
     });
     std::vector<PendingOp> batch;
     batch.swap(pending_);
+    link_pending_ = false;
     queue_depth_gauge_.set(0.0);
     lock.unlock();
-    flush_batch(std::move(batch),
-                window_open && Clock::now() >= window_deadline_);
+    const Clock::time_point taken = Clock::now();
+    for (const PendingOp& op : batch) {
+      admission_wait_seconds_.observe(
+          std::chrono::duration<double>(taken - op.enqueued).count());
+    }
+    flush_batch(std::move(batch), window_open && taken >= window_deadline_);
     lock.lock();
   }
   // Shutdown: a still-open window must drain — held promises would
@@ -517,6 +537,14 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
 
   std::vector<ctrlplane::RouteKey> installed_keys;
   installed_keys.reserve(installs.size());
+  // The store fields an install response needs, read under the lock
+  // (nullopt = installed dead); responses are composed and resolved after
+  // it is released, so a woken client's next request does not queue
+  // behind this epoch.
+  std::vector<std::optional<rns::BigUint>> install_ids;
+  install_ids.reserve(installs.size());
+  std::vector<PendingOp> answered_links;
+  std::unordered_set<topo::LinkId> changed_links;
   ctrlplane::EpochResult result;
   {
     std::unique_lock<std::shared_mutex> lock(state_mutex_);
@@ -530,20 +558,18 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
     for (PendingOp& op : batch) {
       if (op.verb != Verb::kWithdraw) continue;
       if (op.key >= store_.size()) {
-        op.answered = true;
-        request_errors_total_.inc();
-        op.promise.set_value(error_response(
-            "unknown-key", "no route with key " + std::to_string(op.key)));
+        op.rejection = error_response(
+            "unknown-key", "no route with key " + std::to_string(op.key));
       } else if (store_.get(op.key).withdrawn || withdraw_seen.count(op.key)) {
-        op.answered = true;
-        request_errors_total_.inc();
-        op.promise.set_value(error_response(
+        op.rejection = error_response(
             "already-withdrawn",
-            "route " + std::to_string(op.key) + " is already withdrawn"));
+            "route " + std::to_string(op.key) + " is already withdrawn");
       } else {
         withdraw_seen.insert(op.key);
         withdraws.push_back(op.key);
+        continue;
       }
+      request_errors_total_.inc();
     }
     // Link requests enter the coalescer (netting them per link against the
     // topology's real state) and are held; with the default zero window
@@ -557,15 +583,12 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
                                   config_.coalesce_window_s));
       }
       coalescer_.note(op.link, op.up, scenario_.topology.link_up(op.link));
-      op.answered = true;  // the held copy answers at drain time
-      held_links_.push_back(std::move(op));
+      held_links_.push_back(std::move(op));  // answers at drain time
     }
     // Close the window when configured off, when its deadline passed, or
     // on shutdown: apply the net transitions to the topology and let the
     // epoch below reconverge them.
     std::vector<ctrlplane::LinkChange> events;
-    std::vector<PendingOp> answered_links;
-    std::unordered_set<topo::LinkId> changed_links;
     if (!held_links_.empty() &&
         (config_.coalesce_window_s <= 0.0 || drain_window)) {
       const std::uint64_t absorbed_before = coalescer_.stats().absorbed;
@@ -597,55 +620,51 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
     }
     routes_gauge_.set(static_cast<double>(store_.size()));
     live_routes_gauge_.set(static_cast<double>(store_.live_count()));
+    for (const ctrlplane::RouteKey key : installed_keys) {
+      const ctrlplane::StoredRoute entry = store_.get(key);
+      install_ids.push_back(entry.live ? std::optional(entry.route.route_id)
+                                       : std::nullopt);
+    }
+  }
 
-    // Compose responses under the lock (store reads), resolve after.
-    std::size_t install_index = 0;
-    const Clock::time_point now = Clock::now();
-    for (PendingOp& op : batch) {
-      if (op.answered) continue;  // rejected above, or riding the window
-      std::string response;
-      switch (op.verb) {
-        case Verb::kInstall: {
-          const ctrlplane::RouteKey key = installed_keys[install_index++];
-          const ctrlplane::StoredRoute& entry = store_.get(key);
-          runner::JsonObject o;
-          o.field("ok", true)
-              .field("key", static_cast<std::uint64_t>(key))
-              .field("version", result.version)
-              .field("live", entry.live);
-          if (entry.live) o.field("route_id", entry.route.route_id.to_string());
-          response = o.str();
-          break;
-        }
-        case Verb::kWithdraw: {
-          runner::JsonObject o;
-          o.field("ok", true)
-              .field("key", op.key)
-              .field("version", result.version)
-              .field("withdrawn", true);
-          response = o.str();
-          break;
-        }
-        default:
-          response = error_response("internal", "unexpected batched verb");
-          break;
-      }
-      request_seconds_.observe(
-          std::chrono::duration<double>(now - op.enqueued).count());
-      op.promise.set_value(std::move(response));
+  const Clock::time_point now = Clock::now();
+  // Held link requests answer when their window drains; the latency
+  // histogram then shows the full hold (bounded by the window). Link
+  // states are written only on this thread, so reading them needs no lock.
+  for (PendingOp& op : answered_links) {
+    runner::JsonObject o;
+    o.field("ok", true)
+        .field("up", scenario_.topology.link_up(op.link))
+        .field("version", result.version)
+        .field("changed", changed_links.count(op.link) > 0);
+    request_seconds_.observe(
+        std::chrono::duration<double>(now - op.enqueued).count());
+    op.promise.set_value(o.str());
+  }
+  std::size_t install_index = 0;
+  for (PendingOp& op : batch) {
+    if (op.verb == Verb::kLinkUp || op.verb == Verb::kLinkDown) continue;
+    if (!op.rejection.empty()) {
+      op.promise.set_value(std::move(op.rejection));
+      continue;
     }
-    // Held link requests answer when their window drains; the latency
-    // histogram then shows the full hold (bounded by the window).
-    for (PendingOp& op : answered_links) {
-      runner::JsonObject o;
-      o.field("ok", true)
-          .field("up", scenario_.topology.link_up(op.link))
+    runner::JsonObject o;
+    o.field("ok", true);
+    if (op.verb == Verb::kInstall) {
+      const std::optional<rns::BigUint>& route_id = install_ids[install_index];
+      o.field("key", static_cast<std::uint64_t>(installed_keys[install_index]))
           .field("version", result.version)
-          .field("changed", changed_links.count(op.link) > 0);
-      request_seconds_.observe(
-          std::chrono::duration<double>(now - op.enqueued).count());
-      op.promise.set_value(o.str());
+          .field("live", route_id.has_value());
+      if (route_id) o.field("route_id", route_id->to_string());
+      ++install_index;
+    } else {
+      o.field("key", op.key)
+          .field("version", result.version)
+          .field("withdrawn", true);
     }
+    request_seconds_.observe(
+        std::chrono::duration<double>(now - op.enqueued).count());
+    op.promise.set_value(o.str());
   }
 }
 

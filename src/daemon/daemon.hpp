@@ -10,9 +10,13 @@
 //     link-up/link-down) are *batched*: they join the pending epoch and
 //     their futures resolve when it flushes.
 //   * Epoch batching — a dedicated flusher thread drains the pending ops
-//     when the batch reaches flush_max_ops or the oldest op has waited
-//     flush_interval (the bounded-latency flush timer), whichever comes
-//     first. The whole batch becomes ONE atomically-versioned engine
+//     when a link request is pending, when the batch reaches
+//     flush_max_ops, or when the oldest op has waited flush_interval (the
+//     bounded-latency flush timer), whichever comes first. Link requests
+//     are urgent — the switches only deflect around a failure until the
+//     controller re-encodes — so the timer bounds batches of installs and
+//     withdrawals only; link requests arriving during an epoch form the
+//     next batch. The whole batch becomes ONE atomically-versioned engine
 //     epoch: link events are coalesced per link to their final state
 //     (a flap inside one batch costs zero reconvergence), installs and
 //     withdrawals ride the same version. So a burst of N requests costs
@@ -23,7 +27,7 @@
 //     a flap storm spanning many batches nets to at most one event per
 //     link per window and costs one reconvergence when the window drains.
 //     Held requests answer at the drain (latency bounded by the window);
-//     installs and withdrawals keep flushing on the fast timer. The
+//     installs and withdrawals keep flushing on the timer. The
 //     default window of 0 drains every batch — exactly the per-batch
 //     behavior above.
 //   * Zero-downtime reconvergence — queries take a shared lock, epochs an
@@ -38,10 +42,10 @@
 //     flusher eagerly compacts the store's posting lists every
 //     compact_every_epochs epochs.
 //   * Telemetry — kar_daemon_* metric families (requests, errors, epochs,
-//     batch sizes, request/epoch latency, queue depth, routes, snapshots,
-//     compactions) plus the engine's kar_ctrlplane_* families on one
-//     registry, scrape-able via the `metrics` verb or the HTTP endpoint
-//     in daemon/server.hpp.
+//     batch sizes, request/admission-wait/epoch latency, queue depth,
+//     routes, snapshots, compactions) plus the engine's kar_ctrlplane_*
+//     families on one registry, scrape-able via the `metrics` verb or the
+//     HTTP endpoint in daemon/server.hpp.
 #pragma once
 
 #include <atomic>
@@ -77,8 +81,9 @@ struct KardConfig {
   ctrlplane::EngineConfig engine;
   /// Epoch admission cap: flush as soon as this many ops are pending.
   std::size_t flush_max_ops = 4096;
-  /// Bounded-latency flush timer: flush once the oldest pending op has
-  /// waited this long, even if the batch is small.
+  /// Bounded-latency flush timer for install/withdraw batches: flush once
+  /// the oldest pending op has waited this long, even if the batch is
+  /// small. A pending link request flushes the queue at once instead.
   double flush_interval_s = 0.002;
   /// Cross-epoch link-coalescing window (seconds): link transitions are
   /// held and netted per link until the window (opened by the first held
@@ -168,9 +173,9 @@ class Kard {
     topo::NodeId src = topo::kInvalidNode;
     topo::NodeId dst = topo::kInvalidNode;
     ctrlplane::RouteKey key = 0;
-    /// Promise already fulfilled (validation rejected the op, or a link op
-    /// moved into the coalescing window) — the response loop skips it.
-    bool answered = false;
+    /// Error response decided at flush time (withdraw validation); empty
+    /// when the op was accepted.
+    std::string rejection;
     std::promise<std::string> promise;
     Clock::time_point enqueued;
   };
@@ -208,6 +213,7 @@ class Kard {
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::vector<PendingOp> pending_;   // guarded by queue_mutex_
+  bool link_pending_ = false;        // guarded by queue_mutex_
   bool stop_flusher_ = false;        // guarded by queue_mutex_
   std::thread flusher_;
   bool started_ = false;
@@ -239,6 +245,7 @@ class Kard {
   obs::Gauge held_links_gauge_;
   obs::Gauge snapshot_bytes_gauge_;
   obs::Histogram request_seconds_;
+  obs::Histogram admission_wait_seconds_;
   obs::Histogram epoch_seconds_;
   obs::Histogram epoch_ops_;
 };

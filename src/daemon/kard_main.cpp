@@ -19,7 +19,8 @@
 //   --snapshot=PATH       snapshot file (written on shutdown; `snapshot` verb)
 //   --restore             restore from --snapshot before serving
 //   --no-final-snapshot   skip the shutdown snapshot
-//   --flush-interval=S    bounded-latency epoch flush timer (default 0.002)
+//   --flush-interval=S    bounded-latency flush timer for install/withdraw
+//                         batches (default 0.002); link requests flush at once
 //   --flush-max=N         flush as soon as N mutations pend (default 4096)
 //   --coalesce-window=S   hold + net link flaps for S seconds before
 //                         reconverging (default 0 = per-batch only)

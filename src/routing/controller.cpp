@@ -82,7 +82,7 @@ EncodedRoute Controller::encode_path(
           " (a switch holds exactly one residue per route ID)");
     }
     route.assignments.push_back(
-        PortAssignment{node, t.switch_id(node), port});
+        PortAssignment{t.switch_id(node), node, port});
   };
 
   // Primary path residues: each switch points at its successor; the egress

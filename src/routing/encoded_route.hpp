@@ -11,12 +11,16 @@
 
 namespace kar::routing {
 
-/// One (switch, output-port) assignment inside a route ID.
+/// One (switch, output-port) assignment inside a route ID. The 64-bit
+/// switch ID leads so the struct packs into 16 bytes: every memoised
+/// encoding holds a vector of these.
 struct PortAssignment {
-  topo::NodeId node = topo::kInvalidNode;
   topo::SwitchId switch_id = 0;
+  topo::NodeId node = topo::kInvalidNode;
   topo::PortIndex port = 0;
 };
+static_assert(sizeof(PortAssignment) == 16,
+              "PortAssignment must stay padding-free");
 
 /// A fully encoded KAR route. Produced by the Controller; consumed by edge
 /// nodes (who stamp `route_id` into packet headers).

@@ -4,10 +4,12 @@
 //   * frame codec — encode/decode round trip under arbitrary chunking,
 //     zero/oversized length prefixes are fatal, buffer compaction;
 //   * batched-verb semantics against a live Kard — duplicate-withdraw
-//     bursts stay linear and exact, per-verb/coalesced/held counters are
-//     exact, and the cross-epoch coalescing window holds a flap storm to
-//     one reconvergence (answering held requests at the drain, including
-//     the shutdown drain);
+//     bursts stay linear and exact, a link request flushes without
+//     waiting for the timer (carrying queued installs into its epoch),
+//     per-verb/coalesced/held counters are exact, every flap request is
+//     either netted or reconverged, and the cross-epoch coalescing window
+//     holds a flap storm to one reconvergence (answering held requests at
+//     the drain, including the shutdown drain);
 //   * fuzz walls — random bytes and random malformed lines never crash the
 //     parser; a live SocketServer answers garbage payloads with structured
 //     errors and the connection survives to serve the next valid request.
@@ -267,13 +269,15 @@ TEST(DaemonBatch, DuplicateWithdrawBurstIsLinearAndExact) {
 TEST(DaemonCoalescing, PerBatchNettingCountsAbsorbedExactly) {
   daemon::KardConfig config;
   config.topology = "fig1";
-  // Long flush timer: back-to-back submissions below land in one batch.
-  config.flush_interval_s = 0.05;
+  // Link requests flush at once, so back-to-back submissions may land in
+  // separate batches; a short coalescing window holds them for the same
+  // LinkCoalescer netting a single batch applies.
+  config.coalesce_window_s = 0.05;
   config.snapshot_on_shutdown = false;
   daemon::Kard kard(config);
   kard.start();
 
-  // Same-batch flap: down + up nets to nothing — no epoch, both answered
+  // Same-window flap: down + up nets to nothing — no epoch, both answered
   // with the final (unchanged) state, both counted absorbed.
   auto down = kard.submit_line("link-down SW4 SW7");
   auto up = kard.submit_line("link-up SW4 SW7");
@@ -307,6 +311,64 @@ TEST(DaemonCoalescing, PerBatchNettingCountsAbsorbedExactly) {
             3.0);
   EXPECT_EQ(scrape_value(kard, "kar_daemon_requests_total{verb=\"link-up\"}"),
             1.0);
+  kard.stop();
+}
+
+TEST(DaemonCoalescing, FlapPairsAreNettedOrReconvergedNeverLost) {
+  daemon::KardConfig config;
+  config.topology = "fig1";
+  config.snapshot_on_shutdown = false;
+  daemon::Kard kard(config);
+  kard.start();
+
+  // K back-to-back flap pairs with no window: however the requests land
+  // in batches, each one is either netted away or reaches the engine as
+  // one event, and the link ends in its last requested state.
+  const int pairs = 50;
+  std::vector<std::future<std::string>> flaps;
+  for (int i = 0; i < pairs; ++i) {
+    flaps.push_back(kard.submit_line("link-down SW4 SW7"));
+    flaps.push_back(kard.submit_line("link-up SW4 SW7"));
+  }
+  for (auto& f : flaps) {
+    const std::string response = f.get();
+    EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+  }
+  EXPECT_EQ(scrape_value(kard, "kar_daemon_coalesced_events_total") +
+                scrape_value(kard, "kar_ctrlplane_events_total"),
+            2.0 * pairs);
+  const std::string state = kard.execute_line("link-up SW4 SW7");
+  EXPECT_NE(state.find("\"up\":true"), std::string::npos) << state;
+  EXPECT_NE(state.find("\"changed\":false"), std::string::npos) << state;
+  kard.stop();
+}
+
+TEST(DaemonBatch, LinkRequestDoesNotWaitForTheFlushTimer) {
+  daemon::KardConfig config;
+  config.topology = "fig1";
+  config.flush_interval_s = 1.0;  // an install alone would wait a second
+  config.snapshot_on_shutdown = false;
+  daemon::Kard kard(config);
+  kard.start();
+
+  const auto start = std::chrono::steady_clock::now();
+  auto install = kard.submit_line("install S D");
+  auto down = kard.submit_line("link-down SW4 SW7");
+  const std::string link_response = down.get();
+  const double link_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_NE(link_response.find("\"changed\":true"), std::string::npos)
+      << link_response;
+  EXPECT_LT(link_s, 0.5) << "link-down waited for the flush timer";
+
+  // The queued install rides the link request's epoch.
+  const std::string install_response = install.get();
+  EXPECT_NE(install_response.find("\"ok\":true"), std::string::npos)
+      << install_response;
+  EXPECT_EQ(json_int_field(install_response, "version"),
+            json_int_field(link_response, "version"));
+  EXPECT_EQ(kard.epochs_applied(), 1u);
   kard.stop();
 }
 

@@ -809,6 +809,7 @@ const std::map<std::string, std::string>& daemon_family_types() {
       {"kar_daemon_held_links", "gauge"},
       {"kar_daemon_snapshot_bytes", "gauge"},
       {"kar_daemon_request_seconds", "histogram"},
+      {"kar_daemon_admission_wait_seconds", "histogram"},
       {"kar_daemon_epoch_seconds", "histogram"},
       {"kar_daemon_epoch_ops", "histogram"},
   };
@@ -954,6 +955,14 @@ TEST(Exporters, DaemonPrometheusTextMatchesGolden) {
   request_seconds.observe(3e-4);
   request_seconds.observe(0.5);
   request_seconds.observe(2.0);  // +Inf
+  Histogram admission_wait_seconds = registry.histogram(
+      "kar_daemon_admission_wait_seconds",
+      "Time a batched request waits in the admission queue before the "
+      "flusher takes its batch (excludes the epoch itself and any "
+      "coalescing-window hold).",
+      {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0});
+  admission_wait_seconds.observe(2e-5);
+  admission_wait_seconds.observe(2e-3);
   Histogram epoch_seconds = registry.histogram(
       "kar_daemon_epoch_seconds", "Engine wall time per batched epoch.",
       {1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0});

@@ -224,6 +224,12 @@ struct GridCase {
   bool wrap;
 };
 
+// Prints `rows x cols` plus the wrap flag, so test names stay stable (the
+// default printer would dump the struct's bytes, padding included).
+void PrintTo(const GridCase& c, std::ostream* os) {
+  *os << c.rows << 'x' << c.cols << (c.wrap ? "-wrap" : "");
+}
+
 class GridProperty : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(GridProperty, FullProtectionAccountsForEverySingleFailureOnPath) {
