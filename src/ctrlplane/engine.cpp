@@ -49,6 +49,16 @@ ReconvergenceEngine::DstState& ReconvergenceEngine::dst_state(
   return state;
 }
 
+void ReconvergenceEngine::ShardScratch::reset() {
+  moved.clear();
+  found.clear();
+  candidates.clear();
+  updated.clear();
+  stats = EpochStats{};
+  log.link_appends.clear();
+  log.live_delta = 0;
+}
+
 void ReconvergenceEngine::fork(std::size_t shards,
                                const std::function<void(std::size_t)>& body) {
   if (shards <= 1) {
@@ -93,10 +103,13 @@ void ReconvergenceEngine::attach_metrics(obs::MetricsRegistry& registry,
 
 bool ReconvergenceEngine::extract_core(DstState& state, topo::NodeId src,
                                        std::vector<topo::NodeId>& core) {
-  const auto path = state.spt->canonical_path(src);
   // A usable route needs src + at least one core switch + dst.
-  if (!path.has_value() || path->size() < 3) return false;
-  core.assign(path->begin() + 1, path->end() - 1);
+  if (!state.spt->canonical_path(src, core) || core.size() < 3) {
+    core.clear();
+    return false;
+  }
+  core.pop_back();
+  core.erase(core.begin());
   return true;
 }
 
@@ -125,13 +138,15 @@ routing::EncodedRoute ReconvergenceEngine::encode_fresh(
 const ReconvergenceEngine::CachedEncoding& ReconvergenceEngine::lookup_encoding(
     DstState& state, topo::NodeId src, topo::NodeId dst,
     const std::vector<topo::NodeId>& core) {
-  auto cache_key = std::make_pair(src, core);
-  auto it = state.encodings.find(cache_key);
-  if (it == state.encodings.end()) {
+  // Keyed src first, then core path, so a hit compares against the
+  // caller's path in place instead of copying it into a lookup key.
+  auto& by_core = state.encodings[src];
+  auto it = by_core.find(core);
+  if (it == by_core.end()) {
     CachedEncoding cached;
     cached.route = encode_fresh(state, src, dst, core);
     cached.footprint = store_->build_footprint(src, core, cached.route);
-    it = state.encodings.emplace(std::move(cache_key), std::move(cached)).first;
+    it = by_core.emplace(core, std::move(cached)).first;
   }
   return it->second;
 }
@@ -144,7 +159,8 @@ RouteKey ReconvergenceEngine::install(topo::NodeId src, topo::NodeId dst,
   // rewritten and the group's earlier members change with it.
   const GroupId id = store_->member(key).group;
   EpochStats group_stats;
-  reconverge_group(id, result.updated_groups, group_stats, nullptr);
+  reconverge_group(id, install_core_, result.updated_groups, group_stats,
+                   nullptr);
   if (store_->group(id).live) {
     store_->set_installed(key);
     result.updated.push_back(key);
@@ -189,11 +205,11 @@ void ReconvergenceEngine::recompute_all(EpochResult& result) {
 }
 
 void ReconvergenceEngine::reconverge_group(GroupId id,
+                                           std::vector<topo::NodeId>& core,
                                            std::vector<GroupId>& updated,
                                            EpochStats& stats, ShardLog* log) {
   const RouteGroup& group = store_->group(id);
   DstState& state = dst_state(group.dst);
-  std::vector<topo::NodeId> core;
   if (!extract_core(state, group.src, core)) {
     if (group.live) {
       store_->set_dead(id, version_, log);
@@ -286,45 +302,37 @@ EpochResult ReconvergenceEngine::apply(
       // them, so the map is frozen while workers read it.
       for (const topo::NodeId dst : dsts) (void)dst_state(dst);
 
-      /// Per-shard working set; shard s owns destinations s, s+shards, ...
-      /// in first-appearance order.
-      struct ShardScratch {
-        std::vector<topo::NodeId> changed;
-        std::vector<GroupId> found;       // phase A candidates
-        std::vector<GroupId> candidates;  // phase C input
-        std::vector<GroupId> updated;
-        EpochStats stats;
-        ShardLog log;
-      };
-      std::vector<ShardScratch> shard_scratch(shards);
+      if (shard_scratch_.size() < shards) shard_scratch_.resize(shards);
+      for (std::size_t shard = 0; shard < shards; ++shard) {
+        shard_scratch_[shard].reset();
+      }
 
       // Phase A (forked): advance each owned destination's SPT through the
       // epoch event by event, collecting groups (to that destination) that
-      // depend on a moved distance: a repair's distance *decrease* can
-      // steal the argmin at any neighbor (dependency index), a failure's
-      // *increase* only matters where the node was chosen (path index).
+      // depend on a moved distance: a *decrease* can steal the argmin at
+      // any neighbor (dependency index), an *increase* only matters where
+      // the node was chosen (path index). Repairs only lower; failures
+      // raise, and in a coalesced epoch can lower too (DistanceMoves).
       // Epoch-start footprints suffice by the first-change argument of
       // docs/ctrlplane.md. Every structure touched — the SPT, the
       // destination's slab and its groups — belongs to this shard.
       if (!events.empty()) {
         fork(shards, [&](std::size_t shard) {
-          ShardScratch& sc = shard_scratch[shard];
+          ShardScratch& sc = shard_scratch_[shard];
           for (std::size_t i = shard; i < dsts.size(); i += shards) {
             const topo::NodeId dst = dsts[i];
             DynamicSpt& spt = *dsts_.find(dst)->second->spt;
             for (const LinkChange& event : events) {
-              sc.changed.clear();
+              sc.moved.clear();
               const SptUpdateStats s =
-                  spt.apply_link_event(event.link, event.up, sc.changed);
+                  spt.apply_link_event(event.link, event.up, sc.moved);
               sc.stats.spt_dirty += s.dirty;
               if (s.fallback) ++sc.stats.spt_fallbacks;
-              sort_unique(sc.changed);
-              for (const topo::NodeId node : sc.changed) {
-                if (event.up) {
-                  store_->collect_node_dependents(node, dst, sc.found);
-                } else {
-                  store_->collect_path_dependents(node, dst, sc.found);
-                }
+              for (const topo::NodeId node : sc.moved.lowered) {
+                store_->collect_node_dependents(node, dst, sc.found);
+              }
+              for (const topo::NodeId node : sc.moved.raised) {
+                store_->collect_path_dependents(node, dst, sc.found);
               }
             }
           }
@@ -337,7 +345,8 @@ EpochResult ReconvergenceEngine::apply(
       // only mattered if chosen, and then the link index holds it). Merged
       // with phase A's candidates and sorted, the group list is identical
       // at every shard width.
-      std::vector<GroupId> candidates;
+      std::vector<GroupId>& candidates = candidates_;
+      candidates.clear();
       for (const LinkChange& event : events) {
         store_->collect_link_dependents(event.link, candidates);
         if (event.up) {
@@ -346,18 +355,19 @@ EpochResult ReconvergenceEngine::apply(
           store_->collect_path_dependents(link.b.node, candidates);
         }
       }
-      for (const ShardScratch& sc : shard_scratch) {
-        candidates.insert(candidates.end(), sc.found.begin(), sc.found.end());
+      for (std::size_t shard = 0; shard < shards; ++shard) {
+        const std::vector<GroupId>& found = shard_scratch_[shard].found;
+        candidates.insert(candidates.end(), found.begin(), found.end());
       }
       sort_unique(candidates);
       result.stats.candidates = candidates.size();
       // Route each candidate group to the shard owning its destination.
-      std::vector<std::uint32_t> owner(topo_->node_count(), 0);
+      owner_.assign(topo_->node_count(), 0);
       for (std::size_t i = 0; i < dsts.size(); ++i) {
-        owner[dsts[i]] = static_cast<std::uint32_t>(i % shards);
+        owner_[dsts[i]] = static_cast<std::uint32_t>(i % shards);
       }
       for (const GroupId id : candidates) {
-        shard_scratch[owner[store_->group(id).dst]].candidates.push_back(id);
+        shard_scratch_[owner_[store_->group(id).dst]].candidates.push_back(id);
       }
       // Phase C (forked): reconverge once per endpoint group — the
       // decision (extract core, memo-encode, install or withdraw) reads
@@ -365,14 +375,15 @@ EpochResult ReconvergenceEngine::apply(
       // shard; side effects on cross-shard structures are buffered in the
       // shard's log.
       fork(shards, [&](std::size_t shard) {
-        ShardScratch& sc = shard_scratch[shard];
+        ShardScratch& sc = shard_scratch_[shard];
         for (const GroupId id : sc.candidates) {
-          reconverge_group(id, sc.updated, sc.stats, &sc.log);
+          reconverge_group(id, sc.core, sc.updated, sc.stats, &sc.log);
         }
       });
       // Serial epilogue: replay the shard logs and merge results in shard
       // order (the updated list is canonicalised by the sort below).
-      for (ShardScratch& sc : shard_scratch) {
+      for (std::size_t shard = 0; shard < shards; ++shard) {
+        const ShardScratch& sc = shard_scratch_[shard];
         store_->apply_shard_log(sc.log);
         result.updated_groups.insert(result.updated_groups.end(),
                                      sc.updated.begin(), sc.updated.end());

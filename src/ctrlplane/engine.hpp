@@ -10,10 +10,12 @@
 //      *repaired* link's endpoints (the equal-cost tie-flip case), routes
 //      whose path contains a node whose distance *increased* (failures),
 //      and routes depending on a node whose distance *decreased*
-//      (repairs — a decrease can steal an argmin anywhere next door);
-//   3. re-extracts each candidate group's canonical path from its SPT —
-//      the store interns one record per (src, dst) endpoint group, since
-//      routes sharing endpoints share paths and encodings — and only when
+//      (repairs, and failures coalesced with a pending repair — a decrease
+//      can steal an argmin anywhere next door);
+//   3. re-extracts each candidate group's canonical path from its SPT's
+//      next-hop table into the shard's scratch — the store interns one
+//      record per (src, dst) endpoint group, since routes sharing
+//      endpoints share paths and encodings — and only when
 //      the path actually differs re-encodes (primary + driven-deflection
 //      protection, memoised per (src, core path) on the static topology)
 //      and writes the group record once with the new epoch version, which
@@ -224,10 +226,25 @@ class ReconvergenceEngine {
     std::map<std::vector<topo::NodeId>,
              std::vector<std::pair<topo::NodeId, topo::NodeId>>>
         protection;
-    /// Encoding memo (incremental mode only): (src, core path) -> entry.
-    std::map<std::pair<topo::NodeId, std::vector<topo::NodeId>>,
-             CachedEncoding>
+    /// Encoding memo (incremental mode only): src -> core path -> entry.
+    std::map<topo::NodeId, std::map<std::vector<topo::NodeId>, CachedEncoding>>
         encodings;
+  };
+
+  /// Per-shard epoch working set; shard s owns destinations s, s+shards,
+  /// ... in first-appearance order. Kept across epochs, so a warm epoch
+  /// reuses every buffer's capacity instead of reallocating per candidate.
+  struct ShardScratch {
+    DistanceMoves moved;              ///< Phase A, per SPT event.
+    std::vector<GroupId> found;       ///< Phase A candidates.
+    std::vector<GroupId> candidates;  ///< Phase C input.
+    std::vector<GroupId> updated;
+    std::vector<topo::NodeId> core;   ///< Phase C path scratch.
+    EpochStats stats;
+    ShardLog log;
+
+    /// Empties every list (capacity kept) for the next epoch.
+    void reset();
   };
 
   [[nodiscard]] std::size_t threshold() const;
@@ -236,8 +253,9 @@ class ReconvergenceEngine {
   [[nodiscard]] std::size_t shard_count() const;
   /// Finds or creates the destination's state (serial path only).
   DstState& dst_state(topo::NodeId dst);
-  /// Canonical core path for (src, dst) from the destination's SPT; false
-  /// when no usable path exists (a route needs src + >= 1 switch + dst).
+  /// Canonical core path for (src, dst) from the destination's SPT, walked
+  /// into `core` (replaced; cleared when false); false when no usable path
+  /// exists (a route needs src + >= 1 switch + dst).
   bool extract_core(DstState& state, topo::NodeId src,
                     std::vector<topo::NodeId>& core);
   /// Encodes (src, dst, core) from scratch: primary path plus, when
@@ -260,10 +278,12 @@ class ReconvergenceEngine {
   void recompute_all(EpochResult& result);
   /// Group reconvergence (incremental epochs and admissions): decide once
   /// per endpoint group and write its record once, whatever its member
-  /// count. `log` non-null routes cross-shard store side effects through a
-  /// ShardLog (forked phase C); null writes the store directly (serial).
-  void reconverge_group(GroupId id, std::vector<GroupId>& updated,
-                        EpochStats& stats, ShardLog* log);
+  /// count. `core` is the caller's path scratch (one per shard). `log`
+  /// non-null routes cross-shard store side effects through a ShardLog
+  /// (forked phase C); null writes the store directly (serial).
+  void reconverge_group(GroupId id, std::vector<topo::NodeId>& core,
+                        std::vector<GroupId>& updated, EpochStats& stats,
+                        ShardLog* log);
   /// Runs body(0 .. shards-1): inline for one shard, else by fork_join on a
   /// lazily built pool of shards - 1 workers (shard 0 on the caller).
   void fork(std::size_t shards, const std::function<void(std::size_t)>& body);
@@ -274,6 +294,11 @@ class ReconvergenceEngine {
   routing::Controller controller_;
   std::unordered_map<topo::NodeId, std::unique_ptr<DstState>> dsts_;
   std::unique_ptr<runner::ThreadPool> pool_;
+  // Epoch scratch, reused across epochs (capacity kept).
+  std::vector<ShardScratch> shard_scratch_;
+  std::vector<GroupId> candidates_;
+  std::vector<std::uint32_t> owner_;
+  std::vector<topo::NodeId> install_core_;  ///< install()'s path scratch.
   std::uint64_t version_ = 0;
   EpochStats totals_;
   obs::TraceRecorder* trace_ = nullptr;

@@ -175,9 +175,8 @@ IndexFootprint RouteStore::build_footprint(
   // closes over the neighborhood of the source and every path node.
   const auto depend_on_neighborhood = [&](topo::NodeId node) {
     f.deps.set(node);
-    for (const auto& [port, next] : topo_->neighbors(node)) {
-      (void)port;
-      f.deps.set(next);
+    for (const topo::LinkId link_id : topo_->ports(node)) {
+      f.deps.set(topo_->link(link_id).other(node));
     }
   };
   f.path_nodes.set(src);

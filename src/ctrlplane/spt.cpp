@@ -11,9 +11,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-using HeapItem = std::pair<double, topo::NodeId>;
-using MinHeap = std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>>;
-
 }  // namespace
 
 DynamicSpt::DynamicSpt(const topo::Topology& topology, topo::NodeId destination,
@@ -28,6 +25,7 @@ DynamicSpt::DynamicSpt(const topo::Topology& topology, topo::NodeId destination,
   dist_.assign(n, kInf);
   parent_.assign(n, topo::kInvalidNode);
   parent_link_.assign(n, topo::kInvalidLink);
+  next_hop_.assign(n, topo::kInvalidNode);
   mark_.assign(n, 0);
   affected_flag_.assign(n, 0);
   old_dist_.assign(n, kInf);
@@ -44,53 +42,83 @@ void DynamicSpt::rebuild() {
   std::fill(dist_.begin(), dist_.end(), kInf);
   std::fill(parent_.begin(), parent_.end(), topo::kInvalidNode);
   std::fill(parent_link_.begin(), parent_link_.end(), topo::kInvalidLink);
-  MinHeap heap;
   dist_[dst_] = 0.0;
-  heap.emplace(0.0, dst_);
-  while (!heap.empty()) {
-    const auto [d, cur] = heap.top();
-    heap.pop();
+  heap_.emplace(0.0, dst_);
+  while (!heap_.empty()) {
+    const auto [d, cur] = heap_.top();
+    heap_.pop();
     if (d > dist_[cur]) continue;
     if (!propagates(cur)) continue;
-    for (const auto& [port, next] : topo_->neighbors(cur)) {
-      const topo::LinkId link_id = topo_->link_at(cur, port);
+    for (const topo::LinkId link_id : topo_->ports(cur)) {
       const topo::Link& link = topo_->link(link_id);
       if (!link.up) continue;
+      const topo::NodeId next = link.other(cur);
       const double nd = d + routing::link_cost(link, metric_);
       if (nd < dist_[next]) {
         dist_[next] = nd;
         parent_[next] = cur;
         parent_link_[next] = link_id;
-        heap.emplace(nd, next);
+        heap_.emplace(nd, next);
       }
     }
+  }
+  for (topo::NodeId v = 0; v < next_hop_.size(); ++v) {
+    next_hop_[v] = compute_next_hop(v);
   }
 }
 
 SptUpdateStats DynamicSpt::apply_link_event(topo::LinkId link, bool up,
-                                            std::vector<topo::NodeId>& changed) {
-  return up ? handle_insert(link, changed) : handle_delete(link, changed);
+                                            DistanceMoves& moved) {
+  const std::size_t first_raised = moved.raised.size();
+  const std::size_t first_lowered = moved.lowered.size();
+  const SptUpdateStats stats =
+      up ? handle_insert(link, moved) : handle_delete(link, moved);
+  if (stats.fallback) return stats;  // rebuild() refilled the whole table
+  // A next hop reads its node's incident links and its neighbors'
+  // distances: only the event link's endpoints and the neighbors of moved
+  // nodes can have a different argmin now.
+  ++epoch_;
+  const topo::Link& l = topo_->link(link);
+  refresh_next_hop(l.a.node);
+  refresh_next_hop(l.b.node);
+  const auto refresh_neighbors = [&](const std::vector<topo::NodeId>& nodes,
+                                     std::size_t first) {
+    for (std::size_t i = first; i < nodes.size(); ++i) {
+      for (const topo::LinkId link_id : topo_->ports(nodes[i])) {
+        refresh_next_hop(topo_->link(link_id).other(nodes[i]));
+      }
+    }
+  };
+  refresh_neighbors(moved.raised, first_raised);
+  refresh_neighbors(moved.lowered, first_lowered);
+  return stats;
 }
 
-SptUpdateStats DynamicSpt::fallback_rebuild(std::vector<topo::NodeId>& changed) {
+void DynamicSpt::refresh_next_hop(topo::NodeId node) {
+  if (mark_[node] == epoch_) return;
+  mark_[node] = epoch_;
+  next_hop_[node] = compute_next_hop(node);
+}
+
+SptUpdateStats DynamicSpt::fallback_rebuild(DistanceMoves& moved) {
   old_dist_ = dist_;
   rebuild();
   for (topo::NodeId v = 0; v < dist_.size(); ++v) {
-    if (dist_[v] != old_dist_[v]) changed.push_back(v);
+    if (dist_[v] > old_dist_[v]) moved.raised.push_back(v);
+    if (dist_[v] < old_dist_[v]) moved.lowered.push_back(v);
   }
   return SptUpdateStats{dist_.size(), true};
 }
 
 SptUpdateStats DynamicSpt::handle_insert(topo::LinkId link,
-                                         std::vector<topo::NodeId>& changed) {
+                                         DistanceMoves& moved) {
   const topo::Link& l = topo_->link(link);
   // A coalesced epoch can replay a repair that a later (also pending)
   // failure already reverted; the topology holds the final say.
   if (!l.up) return SptUpdateStats{0, false};
   const double w = routing::link_cost(l, metric_);
   ++epoch_;
-  std::vector<topo::NodeId> touched;
-  MinHeap heap;
+  touched_.clear();
 
   const auto improve = [&](topo::NodeId node, topo::NodeId via,
                            topo::LinkId via_link, double nd) {
@@ -98,12 +126,12 @@ SptUpdateStats DynamicSpt::handle_insert(topo::LinkId link,
     if (mark_[node] != epoch_) {
       mark_[node] = epoch_;
       old_dist_[node] = dist_[node];
-      touched.push_back(node);
+      touched_.push_back(node);
     }
     dist_[node] = nd;
     parent_[node] = via;
     parent_link_[node] = via_link;
-    heap.emplace(nd, node);
+    heap_.emplace(nd, node);
   };
 
   // Seed: the new link can only lower a distance through an endpoint that
@@ -115,26 +143,25 @@ SptUpdateStats DynamicSpt::handle_insert(topo::LinkId link,
     improve(l.b.node, l.a.node, link, dist_[l.a.node] + w);
   }
 
-  while (!heap.empty()) {
-    const auto [d, cur] = heap.top();
-    heap.pop();
+  while (!heap_.empty()) {
+    const auto [d, cur] = heap_.top();
+    heap_.pop();
     if (d > dist_[cur]) continue;
     if (!propagates(cur)) continue;
-    for (const auto& [port, next] : topo_->neighbors(cur)) {
-      const topo::LinkId link_id = topo_->link_at(cur, port);
+    for (const topo::LinkId link_id : topo_->ports(cur)) {
       const topo::Link& nl = topo_->link(link_id);
       if (!nl.up) continue;
-      improve(next, cur, link_id, d + routing::link_cost(nl, metric_));
+      improve(nl.other(cur), cur, link_id, d + routing::link_cost(nl, metric_));
     }
   }
 
   // Every touched node strictly improved (improve() only fires on <).
-  changed.insert(changed.end(), touched.begin(), touched.end());
-  return SptUpdateStats{touched.size(), false};
+  moved.lowered.insert(moved.lowered.end(), touched_.begin(), touched_.end());
+  return SptUpdateStats{touched_.size(), false};
 }
 
 SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
-                                         std::vector<topo::NodeId>& changed) {
+                                         DistanceMoves& moved) {
   const topo::Link& l = topo_->link(link);
   // A non-tree link carries no settled distance: removing it changes
   // nothing (every shortest distance is realised along tree edges). The
@@ -157,8 +184,9 @@ SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
     mark_[dst_] = epoch_;
     affected_flag_[dst_] = 0;
   }
-  std::vector<topo::NodeId> affected{seed};
-  std::vector<topo::NodeId> chain;
+  std::vector<topo::NodeId>& affected = touched_;
+  affected.assign(1, seed);
+  std::vector<topo::NodeId>& chain = chain_;
   const std::size_t n = topo_->node_count();
   for (topo::NodeId v = 0; v < n; ++v) {
     if (dist_[v] == kInf || mark_[v] == epoch_) continue;
@@ -185,15 +213,15 @@ SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
     }
   }
 
-  if (affected.size() > threshold_) return fallback_rebuild(changed);
+  if (affected.size() > threshold_) return fallback_rebuild(moved);
 
   const auto in_affected = [&](topo::NodeId node) {
-    return mark_[node] == epoch_ && affected_flag_[node] != 0;
+    return mark_[node] == epoch_ && affected_flag_[node] == 1;
   };
 
-  // Detach A, remembering old distances for the changed-set diff. Boundary
-  // distances (outside A) are already exact: deletion cannot lower them,
-  // and their tree paths avoid the dead link.
+  // Detach A, remembering old distances for the moved-set diff. On a lone
+  // delete, boundary distances (outside A) are already exact: deletion
+  // cannot lower them, and their tree paths avoid the dead link.
   for (const topo::NodeId v : affected) {
     old_dist_[v] = dist_[v];
     dist_[v] = kInf;
@@ -201,12 +229,11 @@ SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
     parent_link_[v] = topo::kInvalidLink;
   }
 
-  MinHeap heap;
   for (const topo::NodeId v : affected) {
-    for (const auto& [port, next] : topo_->neighbors(v)) {
-      const topo::LinkId link_id = topo_->link_at(v, port);
+    for (const topo::LinkId link_id : topo_->ports(v)) {
       const topo::Link& nl = topo_->link(link_id);
       if (!nl.up) continue;
+      const topo::NodeId next = nl.other(v);
       if (in_affected(next) || !propagates(next)) continue;
       if (dist_[next] == kInf) continue;
       const double cand = dist_[next] + routing::link_cost(nl, metric_);
@@ -216,46 +243,61 @@ SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
         parent_link_[v] = link_id;
       }
     }
-    if (dist_[v] < kInf) heap.emplace(dist_[v], v);
+    if (dist_[v] < kInf) heap_.emplace(dist_[v], v);
   }
 
-  // Restricted Dijkstra: settle A from its boundary.
-  while (!heap.empty()) {
-    const auto [d, cur] = heap.top();
-    heap.pop();
+  // Dijkstra from A's boundary: settles A. It relaxes into nodes outside A
+  // too, which can only improve in a coalesced epoch — there the topology
+  // already holds a later event's repair, A may settle below its old
+  // distances through it, and that gain must flow on (the repair's own
+  // event seeds only its endpoints). Such nodes are flagged 2 and listed
+  // once in `lowered`; on a lone delete none is.
+  std::vector<topo::NodeId>& lowered = chain_;
+  lowered.clear();
+  while (!heap_.empty()) {
+    const auto [d, cur] = heap_.top();
+    heap_.pop();
     if (d > dist_[cur]) continue;
     if (!propagates(cur)) continue;
-    for (const auto& [port, next] : topo_->neighbors(cur)) {
-      if (!in_affected(next)) continue;
-      const topo::LinkId link_id = topo_->link_at(cur, port);
+    for (const topo::LinkId link_id : topo_->ports(cur)) {
       const topo::Link& nl = topo_->link(link_id);
       if (!nl.up) continue;
+      const topo::NodeId next = nl.other(cur);
       const double cand = d + routing::link_cost(nl, metric_);
       if (cand < dist_[next]) {
+        if (mark_[next] != epoch_ || affected_flag_[next] == 0) {
+          mark_[next] = epoch_;
+          affected_flag_[next] = 2;
+          old_dist_[next] = dist_[next];
+          lowered.push_back(next);
+        }
         dist_[next] = cand;
         parent_[next] = cur;
         parent_link_[next] = link_id;
-        heap.emplace(cand, next);
+        heap_.emplace(cand, next);
       }
     }
   }
 
   for (const topo::NodeId v : affected) {
-    if (dist_[v] != old_dist_[v]) changed.push_back(v);
+    if (dist_[v] > old_dist_[v]) moved.raised.push_back(v);
+    if (dist_[v] < old_dist_[v]) moved.lowered.push_back(v);
   }
-  return SptUpdateStats{affected.size(), false};
+  // Every node flagged outside A strictly improved.
+  moved.lowered.insert(moved.lowered.end(), lowered.begin(), lowered.end());
+  return SptUpdateStats{affected.size() + lowered.size(), false};
 }
 
-topo::NodeId DynamicSpt::canonical_next_hop(topo::NodeId from) const {
+topo::NodeId DynamicSpt::compute_next_hop(topo::NodeId from) const {
   if (from == dst_) return topo::kInvalidNode;
   topo::NodeId best = topo::kInvalidNode;
   double best_cost = kInf;
-  for (const auto& [port, next] : topo_->neighbors(from)) {
+  for (const topo::LinkId link_id : topo_->ports(from)) {
+    const topo::Link& link = topo_->link(link_id);
+    const topo::NodeId next = link.other(from);
     // Intermediate hops must forward: only the destination itself or core
     // switches qualify as next hops.
     if (next != dst_ && topo_->kind(next) != topo::NodeKind::kCoreSwitch) continue;
-    const topo::LinkId link_id = topo_->link_at(from, port);
-    const topo::Link& link = topo_->link(link_id);
     if (!link.up) continue;
     if (dist_[next] == kInf) continue;
     const double cand = dist_[next] + routing::link_cost(link, metric_);
@@ -267,23 +309,20 @@ topo::NodeId DynamicSpt::canonical_next_hop(topo::NodeId from) const {
   return best;
 }
 
-std::optional<std::vector<topo::NodeId>> DynamicSpt::canonical_path(
-    topo::NodeId from) const {
-  if (from == dst_) return std::vector<topo::NodeId>{dst_};
-  if (dist_[from] == kInf) return std::nullopt;
-  std::vector<topo::NodeId> nodes{from};
-  topo::NodeId cur = from;
-  while (cur != dst_) {
-    const topo::NodeId next = canonical_next_hop(cur);
-    if (next == topo::kInvalidNode) return std::nullopt;
-    nodes.push_back(next);
-    cur = next;
+bool DynamicSpt::canonical_path(topo::NodeId from,
+                                std::vector<topo::NodeId>& nodes) const {
+  nodes.assign(1, from);
+  if (from != dst_ && dist_[from] == kInf) return false;
+  for (topo::NodeId cur = from; cur != dst_;) {
+    cur = next_hop_[cur];
+    if (cur == topo::kInvalidNode) return false;
+    nodes.push_back(cur);
     if (nodes.size() > topo_->node_count() + 1) {
       throw std::logic_error("DynamicSpt::canonical_path: walk did not reach " +
                              topo_->name(dst_) + " (inconsistent distances)");
     }
   }
-  return nodes;
+  return true;
 }
 
 }  // namespace kar::ctrlplane

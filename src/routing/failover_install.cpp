@@ -27,7 +27,9 @@ FailoverFib install_failover_fibs(
         double neighbor_distance;
       };
       std::vector<Candidate> candidates;
-      for (const auto& [port, neighbor] : topo.neighbors(sw)) {
+      const auto links = topo.ports(sw);
+      for (topo::PortIndex port = 0; port < links.size(); ++port) {
+        const topo::NodeId neighbor = topo.link(links[port]).other(sw);
         if (neighbor != dst &&
             topo.kind(neighbor) == topo::NodeKind::kEdgeNode) {
           continue;  // never detour through a foreign edge

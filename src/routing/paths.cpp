@@ -33,9 +33,9 @@ std::optional<Path> dijkstra(const topo::Topology& topo, topo::NodeId src,
     if (cur == dst) break;
     // Edge nodes do not forward transit traffic.
     if (cur != src && topo.kind(cur) == topo::NodeKind::kEdgeNode) continue;
-    for (const auto& [port, next] : topo.neighbors(cur)) {
-      const topo::LinkId link_id = topo.link_at(cur, port);
+    for (const topo::LinkId link_id : topo.ports(cur)) {
       const topo::Link& link = topo.link(link_id);
+      const topo::NodeId next = link.other(cur);
       if (!options.ignore_failures && !link.up) continue;
       if (banned_links && banned_links->contains(link_id)) continue;
       if (banned_nodes && (*banned_nodes)[next] && next != dst) continue;
@@ -88,8 +88,9 @@ std::vector<double> distances_to(const topo::Topology& topo, topo::NodeId dst,
     if (d > dist[cur]) continue;
     // Traverse links in reverse; costs are symmetric.
     if (cur != dst && topo.kind(cur) == topo::NodeKind::kEdgeNode) continue;
-    for (const auto& [port, next] : topo.neighbors(cur)) {
-      const topo::Link& link = topo.link(topo.link_at(cur, port));
+    for (const topo::LinkId link_id : topo.ports(cur)) {
+      const topo::Link& link = topo.link(link_id);
+      const topo::NodeId next = link.other(cur);
       if (!options.ignore_failures && !link.up) continue;
       const double nd = d + link_cost(link, options.metric);
       if (nd < dist[next]) {

@@ -28,8 +28,8 @@ std::vector<std::size_t> hops_from_set(const topo::Topology& topo,
   while (!frontier.empty()) {
     const topo::NodeId cur = frontier.front();
     frontier.pop();
-    for (const auto& [port, next] : topo.neighbors(cur)) {
-      (void)port;
+    for (const topo::LinkId link_id : topo.ports(cur)) {
+      const topo::NodeId next = topo.link(link_id).other(cur);
       if (topo.kind(next) != topo::NodeKind::kCoreSwitch) continue;
       if (dist[next] != kUnreached) continue;
       dist[next] = dist[cur] + 1;
@@ -66,8 +66,8 @@ std::vector<std::pair<topo::NodeId, topo::NodeId>> plan_driven_deflections(
     // Next hop: the neighbor strictly closer to the destination; ties are
     // broken toward smaller switch IDs for determinism.
     topo::NodeId best = topo::kInvalidNode;
-    for (const auto& [port, next] : topo.neighbors(node)) {
-      (void)port;
+    for (const topo::LinkId link_id : topo.ports(node)) {
+      const topo::NodeId next = topo.link(link_id).other(node);
       if (next != dst_edge && topo.kind(next) != topo::NodeKind::kCoreSwitch) {
         continue;
       }

@@ -21,8 +21,8 @@ std::vector<std::string> bfs_core_path(const Topology& topo, NodeId src_edge,
     if (cur == dst_edge) break;
     // Edge nodes other than the endpoints do not forward.
     if (cur != src_edge && topo.kind(cur) == NodeKind::kEdgeNode) continue;
-    for (const auto& [port, next] : topo.neighbors(cur)) {
-      (void)port;
+    for (const LinkId link_id : topo.ports(cur)) {
+      const NodeId next = topo.link(link_id).other(cur);
       if (!seen[next]) {
         seen[next] = true;
         parent[next] = cur;

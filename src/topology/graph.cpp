@@ -113,11 +113,14 @@ LinkId Topology::link_at(NodeId node, PortIndex port) const {
   return n.ports[port];
 }
 
+std::span<const LinkId> Topology::ports(NodeId node) const {
+  return node_ref(node).ports;
+}
+
 std::optional<NodeId> Topology::neighbor(NodeId node, PortIndex port) const {
   const LinkId id = link_at(node, port);
   if (id == kInvalidLink) return std::nullopt;
-  const Link& l = links_[id];
-  return l.a.node == node ? l.b.node : l.a.node;
+  return links_[id].other(node);
 }
 
 std::optional<PortIndex> Topology::port_to(NodeId from, NodeId to) const {
@@ -126,15 +129,6 @@ std::optional<PortIndex> Topology::port_to(NodeId from, NodeId to) const {
     if (neighbor(from, p) == to) return p;
   }
   return std::nullopt;
-}
-
-std::vector<std::pair<PortIndex, NodeId>> Topology::neighbors(NodeId node) const {
-  std::vector<std::pair<PortIndex, NodeId>> out;
-  const Node& n = node_ref(node);
-  for (PortIndex p = 0; p < n.ports.size(); ++p) {
-    if (const auto other = neighbor(node, p)) out.emplace_back(p, *other);
-  }
-  return out;
 }
 
 const Link& Topology::link(LinkId id) const {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -61,6 +62,11 @@ struct Link {
   LinkEnd b;
   LinkParams params;
   bool up = true;
+
+  /// The node at the end opposite `node` (which must be an endpoint).
+  [[nodiscard]] NodeId other(NodeId node) const noexcept {
+    return a.node == node ? b.node : a.node;
+  }
 };
 
 /// The KAR network graph.
@@ -104,8 +110,10 @@ class Topology {
   [[nodiscard]] std::optional<NodeId> neighbor(NodeId node, PortIndex port) const;
   /// The local port that reaches `to`, if the nodes are adjacent.
   [[nodiscard]] std::optional<PortIndex> port_to(NodeId from, NodeId to) const;
-  /// All (port, neighbor) pairs of a node.
-  [[nodiscard]] std::vector<std::pair<PortIndex, NodeId>> neighbors(NodeId node) const;
+  /// The node's links by port index (element p is the link on port p;
+  /// every port has one), without allocating; the far end of each is
+  /// Link::other(node). The adjacency walk of every path computation.
+  [[nodiscard]] std::span<const LinkId> ports(NodeId node) const;
 
   [[nodiscard]] const Link& link(LinkId id) const;
   [[nodiscard]] Link& link(LinkId id);

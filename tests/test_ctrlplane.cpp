@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -22,6 +24,7 @@
 #include "sim/network.hpp"
 #include "sim/reactive_controller.hpp"
 #include "support/testsupport.hpp"
+#include "topogen/topogen.hpp"
 #include "topology/builders.hpp"
 
 namespace kar {
@@ -177,22 +180,28 @@ void churn_against_oracle(topo::Topology& t, topo::NodeId dst,
                           std::size_t threshold, int steps, common::Rng& rng) {
   DynamicSpt spt(t, dst, routing::PathMetric::kHopCount, threshold);
   expect_matches_oracle(t, spt, -1);
-  std::vector<topo::NodeId> changed;
+  ctrlplane::DistanceMoves moved;
   for (int step = 0; step < steps; ++step) {
     const auto link = static_cast<topo::LinkId>(rng.below(t.link_count()));
     const bool up = !t.link(link).up;
     t.set_link_up(link, up);
     const std::vector<double> before = spt.distances();
-    changed.clear();
-    spt.apply_link_event(link, up, changed);
-    // The reported change set is exactly the moved distances.
-    const std::set<topo::NodeId> reported(changed.begin(), changed.end());
-    ASSERT_EQ(reported.size(), changed.size()) << "duplicate changed nodes";
+    moved.clear();
+    spt.apply_link_event(link, up, moved);
+    // The reported sets are exactly the moved distances, by direction; a
+    // lone repair only lowers, a lone failure only raises.
+    const std::set<topo::NodeId> raised(moved.raised.begin(), moved.raised.end());
+    const std::set<topo::NodeId> lowered(moved.lowered.begin(),
+                                         moved.lowered.end());
+    ASSERT_EQ(raised.size(), moved.raised.size()) << "duplicate raised nodes";
+    ASSERT_EQ(lowered.size(), moved.lowered.size()) << "duplicate lowered nodes";
+    ASSERT_TRUE(up ? raised.empty() : lowered.empty()) << "step " << step;
     for (std::size_t v = 0; v < before.size(); ++v) {
-      const bool moved = before[v] != spt.distances()[v];
-      ASSERT_EQ(moved, reported.count(static_cast<topo::NodeId>(v)) == 1)
-          << "step " << step << ", node "
-          << t.name(static_cast<topo::NodeId>(v));
+      const auto node = static_cast<topo::NodeId>(v);
+      ASSERT_EQ(before[v] < spt.distances()[v], raised.count(node) == 1)
+          << "step " << step << ", node " << t.name(node);
+      ASSERT_EQ(before[v] > spt.distances()[v], lowered.count(node) == 1)
+          << "step " << step << ", node " << t.name(node);
     }
     expect_matches_oracle(t, spt, step);
   }
@@ -228,20 +237,21 @@ TEST(DynamicSptTest, CanonicalPathIsShortestUsableAndDeterministic) {
   DynamicSpt spt(t, dst, routing::PathMetric::kHopCount, 1000);
 
   const auto check = [&](const DynamicSpt& tree) -> std::vector<topo::NodeId> {
-    const auto path = tree.canonical_path(src);
-    EXPECT_TRUE(path.has_value());
-    if (!path.has_value()) return {};
-    EXPECT_EQ(path->front(), src);
-    EXPECT_EQ(path->back(), dst);
+    std::vector<topo::NodeId> path;
+    EXPECT_TRUE(tree.canonical_path(src, path));
+    EXPECT_EQ(path.front(), src);
+    EXPECT_EQ(path.back(), dst);
     // Hop-count distance == link count along the extracted path, and every
     // hop is an up link.
-    EXPECT_EQ(static_cast<double>(path->size() - 1), tree.distance(src));
-    for (std::size_t i = 0; i + 1 < path->size(); ++i) {
-      const auto link = t.link_between((*path)[i], (*path)[i + 1]);
+    EXPECT_EQ(static_cast<double>(path.size() - 1), tree.distance(src));
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      const auto link = t.link_between(path[i], path[i + 1]);
       EXPECT_TRUE(link.has_value());
-      if (link.has_value()) EXPECT_TRUE(t.link_up(*link));
+      if (link.has_value()) {
+        EXPECT_TRUE(t.link_up(*link));
+      }
     }
-    return *path;
+    return path;
   };
 
   const auto before = check(spt);
@@ -249,14 +259,138 @@ TEST(DynamicSptTest, CanonicalPathIsShortestUsableAndDeterministic) {
   // must extract the identical canonical path (pure function of distances).
   const topo::LinkId link = *t.link_between(t.at("SW7"), t.at("SW13"));
   t.set_link_up(link, false);
-  std::vector<topo::NodeId> changed;
-  spt.apply_link_event(link, false, changed);
+  ctrlplane::DistanceMoves moved;
+  spt.apply_link_event(link, false, moved);
   const auto after = check(spt);
   EXPECT_NE(before, after);
   DynamicSpt fresh(t, dst, routing::PathMetric::kHopCount, 1000);
-  EXPECT_EQ(after, *fresh.canonical_path(src));
+  std::vector<topo::NodeId> fresh_path;
+  ASSERT_TRUE(fresh.canonical_path(src, fresh_path));
+  EXPECT_EQ(after, fresh_path);
   EXPECT_EQ(spt.canonical_next_hop(t.at("SW10")),
             fresh.canonical_next_hop(t.at("SW10")));
+}
+
+// -- Next-hop table -----------------------------------------------------------
+
+/// The canonical next hop at `from`, derived from scratch: the usable port
+/// minimising link cost + the tree's distance at the far end, ties toward
+/// the smaller NodeId (spt.hpp's file comment), read through the port
+/// queries rather than the adjacency span the tree itself walks.
+topo::NodeId argmin_next_hop(const topo::Topology& t, const DynamicSpt& spt,
+                             routing::PathMetric metric, topo::NodeId from) {
+  if (from == spt.destination()) return topo::kInvalidNode;
+  topo::NodeId best = topo::kInvalidNode;
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (topo::PortIndex port = 0; port < t.port_count(from); ++port) {
+    const topo::NodeId next = *t.neighbor(from, port);
+    if (next != spt.destination() &&
+        t.kind(next) != topo::NodeKind::kCoreSwitch) {
+      continue;
+    }
+    if (!t.port_available(from, port)) continue;
+    const double cost = spt.distance(next) +
+                        routing::link_cost(t.link(t.link_at(from, port)), metric);
+    if (cost == std::numeric_limits<double>::infinity()) continue;
+    if (cost < best_cost || (cost == best_cost && next < best)) {
+      best_cost = cost;
+      best = next;
+    }
+  }
+  return best;
+}
+
+/// Seeded fail/repair epochs of 1..max_events link changes, each advancing
+/// one DynamicSpt per destination. A multi-event epoch sets every link's
+/// final state before the first event is applied, as the engine's coalesced
+/// epochs do (a link may flip twice in one epoch). After every epoch each
+/// node's table entry must equal the from-scratch argmin, and the table a
+/// freshly built tree's. `fallbacks` counts the fallback rebuilds taken.
+void churn_next_hop_table(topo::Topology& t,
+                          const std::vector<topo::NodeId>& dsts,
+                          routing::PathMetric metric, std::size_t threshold,
+                          std::size_t max_events, int epochs, common::Rng& rng,
+                          std::size_t& fallbacks) {
+  std::vector<std::unique_ptr<DynamicSpt>> spts;
+  for (const topo::NodeId dst : dsts) {
+    spts.push_back(std::make_unique<DynamicSpt>(t, dst, metric, threshold));
+  }
+  fallbacks = 0;
+  ctrlplane::DistanceMoves moved;
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    std::vector<bool> up(t.link_count());
+    for (topo::LinkId link = 0; link < t.link_count(); ++link) {
+      up[link] = t.link_up(link);
+    }
+    std::vector<LinkChange> events;
+    const std::size_t count = 1 + rng.below(max_events);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto link = static_cast<topo::LinkId>(rng.below(t.link_count()));
+      up[link] = !up[link];
+      events.push_back(LinkChange{link, up[link]});
+    }
+    for (const LinkChange& e : events) t.set_link_up(e.link, up[e.link]);
+    for (const auto& spt : spts) {
+      for (const LinkChange& e : events) {
+        moved.clear();
+        if (spt->apply_link_event(e.link, e.up, moved).fallback) ++fallbacks;
+      }
+      const DynamicSpt fresh(t, spt->destination(), metric, threshold);
+      for (topo::NodeId v = 0; v < t.node_count(); ++v) {
+        ASSERT_EQ(spt->canonical_next_hop(v), argmin_next_hop(t, *spt, metric, v))
+            << "epoch " << epoch << " (" << events.size() << " events), node "
+            << t.name(v) << " to " << t.name(spt->destination());
+        ASSERT_EQ(spt->canonical_next_hop(v), fresh.canonical_next_hop(v))
+            << "epoch " << epoch << ", node " << t.name(v);
+      }
+    }
+  }
+}
+
+/// Edge nodes of `t`, at most `limit` of them, spread over the node order.
+std::vector<topo::NodeId> some_edges(const topo::Topology& t, std::size_t limit) {
+  const auto edges = t.nodes_of_kind(topo::NodeKind::kEdgeNode);
+  std::vector<topo::NodeId> out;
+  const std::size_t step = std::max<std::size_t>(1, edges.size() / limit);
+  for (std::size_t i = 0; i < edges.size() && out.size() < limit; i += step) {
+    out.push_back(edges[i]);
+  }
+  return out;
+}
+
+TEST(NextHopTableTest, TracksArgminUnderSingleAndCoalescedChurn) {
+  common::Rng rng = testsupport::make_rng(0x7ab1e5, "NextHopTable");
+  struct Case {
+    const char* name;
+    Scenario scenario;
+    routing::PathMetric metric;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"fig2+hosts", topo::make_experimental15(),
+                   routing::PathMetric::kHopCount});
+  cases.push_back({"rnp28+hosts", topo::make_rnp28(),
+                   routing::PathMetric::kHopCount});
+  cases.push_back({"waxman+hosts",
+                   topogen::make_from_spec("gen:waxman:n=40,seed=11,beta=0.3"),
+                   routing::PathMetric::kDelay});
+  for (Case& c : cases) {
+    (void)topo::attach_host_edges(c.scenario.topology);
+    SCOPED_TRACE(c.name);
+    topo::Topology& t = c.scenario.topology;
+    const std::vector<topo::NodeId> dsts = some_edges(t, 6);
+    ASSERT_FALSE(dsts.empty());
+    // One event per epoch, then coalesced epochs of up to six, with the
+    // incremental path only; then a threshold of 1, which sends every
+    // delete of a tree link through the full-rebuild fallback.
+    std::size_t fallbacks = 0;
+    churn_next_hop_table(t, dsts, c.metric, 100000, 1, 120, rng, fallbacks);
+    EXPECT_EQ(fallbacks, 0u);
+    churn_next_hop_table(t, dsts, c.metric, 100000, 6, 60, rng, fallbacks);
+    EXPECT_EQ(fallbacks, 0u);
+    churn_next_hop_table(t, dsts, c.metric, 1, 3, 60, rng, fallbacks);
+    EXPECT_GT(fallbacks, 0u);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // -- ReconvergenceEngine ------------------------------------------------------

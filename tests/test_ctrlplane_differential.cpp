@@ -21,6 +21,12 @@
 // widths — version stamps and updated-key lists included, not just final
 // tables — because sharding is specified as a pure throughput knob
 // (docs/ctrlplane.md).
+//
+// A third test coalesces random mixes of failures and repairs into one
+// epoch, the topology holding every final link state before the first
+// event is applied (as the daemon's batched epochs do): a failure's
+// re-settled subtree can then fall through a pending repair, and the
+// engine must follow that decrease like a repair's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,6 +42,7 @@
 #include "ctrlplane/route_store.hpp"
 #include "faultgen/schedule.hpp"
 #include "support/testsupport.hpp"
+#include "topogen/topogen.hpp"
 #include "topology/builders.hpp"
 
 namespace kar {
@@ -303,6 +310,60 @@ INSTANTIATE_TEST_SUITE_P(
     Topologies, CtrlplaneShardedDifferential,
     ::testing::Values(TopologyCase{"fig1", 16}, TopologyCase{"fig2", 16},
                       TopologyCase{"rnp28", 12}));
+
+TEST(CtrlplaneCoalescedDifferential, MixedEpochsEqualFullRecompute) {
+  common::Rng rng =
+      testsupport::make_rng(0xc0a1e5ceULL, "CtrlplaneCoalescedDifferential");
+  for (const std::string topology :
+       {"rnp28", "gen:waxman:n=40,seed=11,beta=0.3"}) {
+    Scenario s = topogen::is_gen_spec(topology)
+                     ? topogen::make_from_spec(topology)
+                     : make_scenario(topology);
+    topo::Topology& t = s.topology;
+    const std::vector<topo::NodeId> hosts = topo::attach_host_edges(t);
+    ASSERT_GE(hosts.size(), 2u);
+    RouteStore inc_store(t);
+    RouteStore full_store(t);
+    EngineConfig inc_config;
+    EngineConfig full_config;
+    full_config.mode = EngineMode::kFullRecompute;
+    inc_config.plan_protection = full_config.plan_protection = false;
+    ReconvergenceEngine inc(t, inc_store, inc_config);
+    ReconvergenceEngine full(t, full_store, full_config);
+    // One route per ordered host pair: a decrease missed at any node
+    // shows up in some group.
+    for (const topo::NodeId src : hosts) {
+      for (const topo::NodeId dst : hosts) {
+        if (src == dst) continue;
+        ASSERT_EQ(inc.add_route(src, dst), full.add_route(src, dst));
+      }
+    }
+    for (int epoch = 0; epoch < 200; ++epoch) {
+      std::vector<bool> up(t.link_count());
+      for (topo::LinkId link = 0; link < t.link_count(); ++link) {
+        up[link] = t.link_up(link);
+      }
+      std::vector<LinkChange> events;
+      const std::size_t count = 1 + rng.below(5);
+      for (std::size_t i = 0; i < count; ++i) {
+        const auto link = static_cast<topo::LinkId>(rng.below(t.link_count()));
+        up[link] = !up[link];
+        events.push_back(LinkChange{link, up[link]});
+      }
+      for (const LinkChange& e : events) t.set_link_up(e.link, up[e.link]);
+      const auto ri = inc.apply(events);
+      const auto rf = full.apply(events);
+      const std::string where =
+          topology + " epoch " + std::to_string(epoch) + " (" +
+          std::to_string(events.size()) + " events)";
+      ASSERT_EQ(ctrlplane::updated_keys(inc_store, ri),
+                ctrlplane::updated_keys(full_store, rf))
+          << where;
+      expect_identical_tables(t, inc_store, full_store, where);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace kar

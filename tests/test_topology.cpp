@@ -114,11 +114,13 @@ TEST(Topology, FailLinkOnNonAdjacentThrows) {
 
 TEST(Topology, NeighborsEnumeratesAllPorts) {
   Topology t = make_triangle();
-  const auto neighbors = t.neighbors(t.at("B"));
-  ASSERT_EQ(neighbors.size(), 2u);
-  EXPECT_EQ(neighbors[0].first, 0u);
-  EXPECT_EQ(neighbors[0].second, t.at("A"));
-  EXPECT_EQ(neighbors[1].second, t.at("C"));
+  const NodeId b = t.at("B");
+  const auto ports = t.ports(b);
+  ASSERT_EQ(ports.size(), 2u);
+  EXPECT_EQ(ports[0], t.link_at(b, 0));
+  EXPECT_EQ(t.link(ports[0]).other(b), t.at("A"));
+  EXPECT_EQ(t.link(ports[1]).other(b), t.at("C"));
+  EXPECT_EQ(t.link(ports[1]).other(t.at("C")), b);
 }
 
 TEST(Topology, NodesOfKindAndSwitchIds) {

@@ -15,7 +15,11 @@
 // The same hook pins the control plane's group interning: a link epoch
 // that re-encodes one endpoint group makes exactly as many allocations
 // whether the group has 1 member route or 1,000 — the epoch writes one
-// group record, never per-member state.
+// group record, never per-member state. And it pins path extraction: on a
+// memo-warm store, a link epoch makes exactly as many allocations whether
+// 1 or every endpoint group crossing the failed link re-encodes — each
+// candidate's path is walked into the shard's scratch through the SPT's
+// next-hop table, and the encoding memo is probed without copying it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -166,6 +170,89 @@ std::uint64_t link_epoch_allocations(std::size_t members) {
   (void)flip(false);
   (void)flip(true);
   return flip(false);
+}
+
+/// The core link of rnp28 (host edges attached) that the most canonical
+/// paths to one host cross, with the sources of those paths in host order.
+struct CrossingGroups {
+  topo::NodeId dst = topo::kInvalidNode;
+  topo::LinkId link = topo::kInvalidLink;
+  std::vector<topo::NodeId> sources;
+};
+
+CrossingGroups busiest_core_link(topo::Topology& t,
+                                 const std::vector<topo::NodeId>& hosts) {
+  CrossingGroups best;
+  for (const topo::NodeId dst : hosts) {
+    ctrlplane::RouteStore store(t);
+    ctrlplane::ReconvergenceEngine engine(t, store);
+    std::vector<std::vector<topo::NodeId>> crossing(t.link_count());
+    for (const topo::NodeId src : hosts) {
+      if (src == dst) continue;
+      const ctrlplane::RouteKey key = engine.add_route(src, dst);
+      const std::vector<topo::NodeId>& core = store.get(key).core_path;
+      for (std::size_t i = 0; i + 1 < core.size(); ++i) {
+        crossing[*t.link_between(core[i], core[i + 1])].push_back(src);
+      }
+    }
+    for (topo::LinkId link = 0; link < t.link_count(); ++link) {
+      if (crossing[link].size() > best.sources.size()) {
+        best = CrossingGroups{dst, link, crossing[link]};
+      }
+    }
+  }
+  return best;
+}
+
+/// Heap allocations of one failure epoch of `crossing.link` that re-encodes
+/// the groups of the first `groups` crossing sources (one route each),
+/// after two fail/repair cycles have warmed the encoding memo and the
+/// engine's scratch. The postings are compacted first, as the daemon does
+/// between epochs: a flapping group re-appends itself to the postings of
+/// the nodes it moves back onto, so uncompacted postings grow with the
+/// group count (amortised, store-side), which is not what this pins.
+std::uint64_t crossing_epoch_allocations(topo::Topology& t,
+                                         const CrossingGroups& crossing,
+                                         std::size_t groups) {
+  ctrlplane::RouteStore store(t);
+  ctrlplane::ReconvergenceEngine engine(t, store);
+  for (std::size_t i = 0; i < groups; ++i) {
+    (void)engine.add_route(crossing.sources[i], crossing.dst);
+  }
+  const auto flip = [&](bool up) {
+    t.set_link_up(crossing.link, up);
+    const std::vector<ctrlplane::LinkChange> events{{crossing.link, up}};
+    g_allocations = 0;
+    g_counting = true;
+    const ctrlplane::EpochResult result = engine.apply(events);
+    g_counting = false;
+    EXPECT_EQ(result.updated_groups.size(), groups);
+    EXPECT_EQ(result.stats.reencoded, groups);
+    return g_allocations;
+  };
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    (void)flip(false);
+    (void)flip(true);
+  }
+  (void)store.compact_postings();
+  const std::uint64_t allocations = flip(false);
+  (void)flip(true);
+  return allocations;
+}
+
+TEST(ZeroAlloc, LinkEpochAllocationsDoNotScaleWithCandidateGroups) {
+  topo::Scenario s = topo::make_rnp28();
+  topo::Topology& t = s.topology;
+  const std::vector<topo::NodeId> hosts = topo::attach_host_edges(t);
+  const CrossingGroups crossing = busiest_core_link(t, hosts);
+  ASSERT_GE(crossing.sources.size(), 8u);
+  const std::uint64_t one = crossing_epoch_allocations(t, crossing, 1);
+  const std::uint64_t many =
+      crossing_epoch_allocations(t, crossing, crossing.sources.size());
+  EXPECT_GT(one, 0u);  // the hook is live on this path
+  EXPECT_EQ(one, many) << crossing.sources.size() << " groups cross "
+                       << t.name(t.link(crossing.link).a.node) << "-"
+                       << t.name(t.link(crossing.link).b.node);
 }
 
 TEST(ZeroAlloc, LinkEpochAllocationsDoNotScaleWithGroupSize) {
