@@ -49,16 +49,6 @@ ReconvergenceEngine::DstState& ReconvergenceEngine::dst_state(
   return state;
 }
 
-void ReconvergenceEngine::ShardScratch::reset() {
-  moved.clear();
-  found.clear();
-  candidates.clear();
-  updated.clear();
-  stats = EpochStats{};
-  log.link_appends.clear();
-  log.live_delta = 0;
-}
-
 void ReconvergenceEngine::fork(std::size_t shards,
                                const std::function<void(std::size_t)>& body) {
   if (shards <= 1) {
@@ -135,7 +125,7 @@ routing::EncodedRoute ReconvergenceEngine::encode_fresh(
   return controller_.encode_path(src, core, dst, it->second);
 }
 
-const ReconvergenceEngine::CachedEncoding& ReconvergenceEngine::lookup_encoding(
+const routing::EncodedRoute& ReconvergenceEngine::lookup_encoding(
     DstState& state, topo::NodeId src, topo::NodeId dst,
     const std::vector<topo::NodeId>& core) {
   // Keyed src first, then core path, so a hit compares against the
@@ -143,10 +133,7 @@ const ReconvergenceEngine::CachedEncoding& ReconvergenceEngine::lookup_encoding(
   auto& by_core = state.encodings[src];
   auto it = by_core.find(core);
   if (it == by_core.end()) {
-    CachedEncoding cached;
-    cached.route = encode_fresh(state, src, dst, core);
-    cached.footprint = store_->build_footprint(src, core, cached.route);
-    it = by_core.emplace(core, std::move(cached)).first;
+    it = by_core.emplace(core, encode_fresh(state, src, dst, core)).first;
   }
   return it->second;
 }
@@ -159,8 +146,7 @@ RouteKey ReconvergenceEngine::install(topo::NodeId src, topo::NodeId dst,
   // rewritten and the group's earlier members change with it.
   const GroupId id = store_->member(key).group;
   EpochStats group_stats;
-  reconverge_group(id, install_core_, result.updated_groups, group_stats,
-                   nullptr);
+  reconverge_group(id, install_core_, result.updated_groups, group_stats);
   if (store_->group(id).live) {
     store_->set_installed(key);
     result.updated.push_back(key);
@@ -207,12 +193,12 @@ void ReconvergenceEngine::recompute_all(EpochResult& result) {
 void ReconvergenceEngine::reconverge_group(GroupId id,
                                            std::vector<topo::NodeId>& core,
                                            std::vector<GroupId>& updated,
-                                           EpochStats& stats, ShardLog* log) {
+                                           EpochStats& stats) {
   const RouteGroup& group = store_->group(id);
   DstState& state = dst_state(group.dst);
   if (!extract_core(state, group.src, core)) {
     if (group.live) {
-      store_->set_dead(id, version_, log);
+      store_->set_dead(id, version_);
       updated.push_back(id);
       stats.withdrawn += group.members.size();
     }
@@ -220,13 +206,13 @@ void ReconvergenceEngine::reconverge_group(GroupId id,
   }
   if (group.live && core == group.core_path) return;  // canonical path held
   if (config_.mode == EngineMode::kIncremental) {
-    const CachedEncoding& enc =
-        lookup_encoding(state, group.src, group.dst, core);
-    store_->set_encoding(id, core, enc.route, version_, &enc.footprint, log);
+    store_->set_encoding(id, core,
+                         lookup_encoding(state, group.src, group.dst, core),
+                         version_);
   } else {
     store_->set_encoding(id, core,
                          encode_fresh(state, group.src, group.dst, core),
-                         version_, nullptr, log);
+                         version_);
   }
   updated.push_back(id);
   stats.reencoded += group.members.size();
@@ -239,7 +225,7 @@ bool ReconvergenceEngine::preview(topo::NodeId src, topo::NodeId dst,
   DstState& state = dst_state(dst);
   if (!extract_core(state, src, core_out)) return false;
   route_out = config_.mode == EngineMode::kIncremental
-                  ? lookup_encoding(state, src, dst, core_out).route
+                  ? lookup_encoding(state, src, dst, core_out)
                   : encode_fresh(state, src, dst, core_out);
   return true;
 }
@@ -293,100 +279,25 @@ EpochResult ReconvergenceEngine::apply(
 
     if (config_.mode == EngineMode::kFullRecompute) {
       recompute_all(result);
-    } else {
-      const auto& dsts = store_->destinations();
+    } else if (!events.empty()) {
+      const std::size_t dsts = store_->destinations().size();
       const std::size_t shards =
-          std::max<std::size_t>(1, std::min(shard_count(), dsts.size()));
+          std::max<std::size_t>(1, std::min(shard_count(), dsts));
       // Serial preamble: every destination gets its state (SPT + memos)
-      // before any fork — forked phases look states up but never create
+      // before the fork — forked code looks states up but never creates
       // them, so the map is frozen while workers read it.
-      for (const topo::NodeId dst : dsts) (void)dst_state(dst);
-
+      for (const topo::NodeId dst : store_->destinations()) (void)dst_state(dst);
       if (shard_scratch_.size() < shards) shard_scratch_.resize(shards);
-      for (std::size_t shard = 0; shard < shards; ++shard) {
-        shard_scratch_[shard].reset();
-      }
-
-      // Phase A (forked): advance each owned destination's SPT through the
-      // epoch event by event, collecting groups (to that destination) that
-      // depend on a moved distance: a *decrease* can steal the argmin at
-      // any neighbor (dependency index), an *increase* only matters where
-      // the node was chosen (path index). Repairs only lower; failures
-      // raise, and in a coalesced epoch can lower too (DistanceMoves).
-      // Epoch-start footprints suffice by the first-change argument of
-      // docs/ctrlplane.md. Every structure touched — the SPT, the
-      // destination's slab and its groups — belongs to this shard.
-      if (!events.empty()) {
-        fork(shards, [&](std::size_t shard) {
-          ShardScratch& sc = shard_scratch_[shard];
-          for (std::size_t i = shard; i < dsts.size(); i += shards) {
-            const topo::NodeId dst = dsts[i];
-            DynamicSpt& spt = *dsts_.find(dst)->second->spt;
-            for (const LinkChange& event : events) {
-              sc.moved.clear();
-              const SptUpdateStats s =
-                  spt.apply_link_event(event.link, event.up, sc.moved);
-              sc.stats.spt_dirty += s.dirty;
-              if (s.fallback) ++sc.stats.spt_fallbacks;
-              for (const topo::NodeId node : sc.moved.lowered) {
-                store_->collect_node_dependents(node, dst, sc.found);
-              }
-              for (const topo::NodeId node : sc.moved.raised) {
-                store_->collect_path_dependents(node, dst, sc.found);
-              }
-            }
-          }
-        });
-      }
-      // Phase B (serial): groups whose encoding references an event link,
-      // plus, for a link-up, every group choosing a next hop at an endpoint
-      // (a repaired link can flip an equal-cost tie without moving any
-      // distance; a link-down needs no such sweep — a removed candidate
-      // only mattered if chosen, and then the link index holds it). Merged
-      // with phase A's candidates and sorted, the group list is identical
-      // at every shard width.
-      std::vector<GroupId>& candidates = candidates_;
-      candidates.clear();
-      for (const LinkChange& event : events) {
-        store_->collect_link_dependents(event.link, candidates);
-        if (event.up) {
-          const topo::Link& link = topo_->link(event.link);
-          store_->collect_path_dependents(link.a.node, candidates);
-          store_->collect_path_dependents(link.b.node, candidates);
-        }
-      }
-      for (std::size_t shard = 0; shard < shards; ++shard) {
-        const std::vector<GroupId>& found = shard_scratch_[shard].found;
-        candidates.insert(candidates.end(), found.begin(), found.end());
-      }
-      sort_unique(candidates);
-      result.stats.candidates = candidates.size();
-      // Route each candidate group to the shard owning its destination.
-      owner_.assign(topo_->node_count(), 0);
-      for (std::size_t i = 0; i < dsts.size(); ++i) {
-        owner_[dsts[i]] = static_cast<std::uint32_t>(i % shards);
-      }
-      for (const GroupId id : candidates) {
-        shard_scratch_[owner_[store_->group(id).dst]].candidates.push_back(id);
-      }
-      // Phase C (forked): reconverge once per endpoint group — the
-      // decision (extract core, memo-encode, install or withdraw) reads
-      // only the group's own SPT, memos and record, all owned by this
-      // shard; side effects on cross-shard structures are buffered in the
-      // shard's log.
+      candidate_epoch_.resize(store_->group_count(), 0);
       fork(shards, [&](std::size_t shard) {
-        ShardScratch& sc = shard_scratch_[shard];
-        for (const GroupId id : sc.candidates) {
-          reconverge_group(id, sc.core, sc.updated, sc.stats, &sc.log);
-        }
+        reconverge_shard(shard, shards, events);
       });
-      // Serial epilogue: replay the shard logs and merge results in shard
-      // order (the updated list is canonicalised by the sort below).
+      // Merge in shard order (the updated list is canonicalised below).
       for (std::size_t shard = 0; shard < shards; ++shard) {
         const ShardScratch& sc = shard_scratch_[shard];
-        store_->apply_shard_log(sc.log);
         result.updated_groups.insert(result.updated_groups.end(),
                                      sc.updated.begin(), sc.updated.end());
+        result.stats.candidates += sc.stats.candidates;
         result.stats.reencoded += sc.stats.reencoded;
         result.stats.withdrawn += sc.stats.withdrawn;
         result.stats.spt_dirty += sc.stats.spt_dirty;
@@ -432,6 +343,42 @@ EpochResult ReconvergenceEngine::apply(
   updated_routes_.observe(static_cast<double>(
       result.stats.reencoded + result.stats.withdrawn + result.stats.tombstoned));
   return result;
+}
+
+void ReconvergenceEngine::reconverge_shard(
+    std::size_t shard, std::size_t shards,
+    const std::vector<LinkChange>& events) {
+  ShardScratch& sc = shard_scratch_[shard];
+  sc.updated.clear();
+  sc.stats = EpochStats{};
+  const auto& dsts = store_->destinations();
+  for (std::size_t i = shard; i < dsts.size(); i += shards) {
+    const topo::NodeId dst = dsts[i];
+    DynamicSpt& spt = *dsts_.find(dst)->second->spt;
+    sc.changed.clear();
+    for (const LinkChange& event : events) {
+      const SptUpdateStats s =
+          spt.apply_link_event(event.link, event.up, sc.changed);
+      sc.stats.spt_dirty += s.dirty;
+      if (s.fallback) ++sc.stats.spt_fallbacks;
+    }
+    // A group's path can only have changed if the table entry at one of
+    // its path nodes did at some event of the epoch, and every such node
+    // is listed: the epoch-start postings find each changed group (and,
+    // in a multi-event epoch, possibly some whose entry changed back).
+    sc.candidates.clear();
+    for (const topo::NodeId node : sc.changed) {
+      for (const GroupId id : store_->path_posting(dst, node)) {
+        if (candidate_epoch_[id] == version_) continue;
+        candidate_epoch_[id] = version_;
+        sc.candidates.push_back(id);
+      }
+    }
+    sc.stats.candidates += sc.candidates.size();
+    for (const GroupId id : sc.candidates) {
+      reconverge_group(id, sc.core, sc.updated, sc.stats);
+    }
+  }
 }
 
 std::vector<RouteKey> updated_keys(const RouteStore& store,

@@ -4,14 +4,13 @@
 //
 // Incremental mode (the point of the subsystem): on an event epoch it
 //   1. advances every per-destination DynamicSpt through the epoch's link
-//      changes, collecting the nodes whose distance moved;
-//   2. assembles the affected candidate set from the store's indexes —
-//      routes referencing an event link, routes choosing a next hop at a
-//      *repaired* link's endpoints (the equal-cost tie-flip case), routes
-//      whose path contains a node whose distance *increased* (failures),
-//      and routes depending on a node whose distance *decreased*
-//      (repairs, and failures coalesced with a pending repair — a decrease
-//      can steal an argmin anywhere next door);
+//      changes, collecting the nodes whose canonical next hop changed;
+//   2. takes as candidates the groups to that destination whose path
+//      ({src} ∪ core path) crosses one of those nodes — the store's path
+//      index. A group's path is the walk of its destination's next-hop
+//      table from its source, so it changes only if an entry on the walk
+//      does: on a single-event epoch the candidates are exactly the groups
+//      that change (docs/ctrlplane.md walks the exactness argument);
 //   3. re-extracts each candidate group's canonical path from its SPT's
 //      next-hop table into the shard's scratch — the store interns one
 //      record per (src, dst) endpoint group, since routes sharing
@@ -20,8 +19,8 @@
 //      protection, memoised per (src, core path) on the static topology)
 //      and writes the group record once with the new epoch version, which
 //      every member then reports (route_store.hpp's version rule).
-// Every route outside the candidate set provably keeps its canonical path
-// (docs/ctrlplane.md walks the superset argument), so skipping it is safe.
+// Every route outside the candidate set provably keeps its canonical path,
+// so skipping it is safe.
 //
 // Full-recompute mode is the differential oracle: rebuild every SPT, walk
 // every route, decide and encode each one on its own. Identical outputs are
@@ -32,27 +31,20 @@
 // is a pure function of (destination, primary core path) and its encoding
 // of (src, destination, core path). Incremental mode memoises whole
 // encodings, full-recompute mode protection sets; neither memo is ever
-// invalidated.
+// invalidated. It is also why neither mode indexes the links an encoding
+// references: a failed protection edge changes no group's (live, core
+// path), so it changes no encoding.
 //
 // Sharded incremental mode (EngineConfig::shards > 1): every per-destination
 // structure — the DynamicSpt, the protection and encoding memos, the store's
-// posting slabs — is owned by exactly one shard (destination index mod shard
-// count), so the expensive phases fork across the runner's ThreadPool with
-// no locks:
-//   A. each shard advances its own destinations' SPTs through the epoch and
-//      collects distance-driven candidates into a shard-local vector;
-//   B. (serial) the link-index sweep runs, then all candidate vectors merge
-//      — sort + unique — into one deterministic group list;
-//   C. each shard reconverges the candidate groups whose destination it
-//      owns, buffering cross-shard store side effects (link-posting
-//      appends, the live counter) in a ShardLog; the logs replay serially
-//      after the join, in shard order.
-// Every decision is a pure function of the quiescent post-advance SPT
-// distances and epoch-start store state, groups are disjoint across shards,
-// and the only order-sensitive merge points (candidate list, updated list)
-// are sorted — so the epoch result is bit-identical for every shard count,
-// which tests/test_ctrlplane_differential.cpp enforces at 1, 4, and
-// hardware width.
+// slab of groups and path postings — is owned by exactly one shard
+// (destination index mod shard count), so an epoch is one fork across the
+// runner's ThreadPool with no locks: each shard advances, collects and
+// reconverges its own destinations. Every decision is a pure function of the
+// quiescent post-advance SPT and epoch-start store state, groups are
+// disjoint across shards, and the one cross-shard merge (the updated list) is
+// sorted — so the epoch result is bit-identical for every shard count, which
+// tests/test_ctrlplane_differential.cpp enforces at 1, 4, and hardware width.
 #pragma once
 
 #include <cstdint>
@@ -102,8 +94,10 @@ struct EngineConfig {
 /// Per-epoch accounting.
 struct EpochStats {
   std::size_t events = 0;        ///< Link changes in the epoch.
-  /// Affected-superset size examined this epoch: endpoint *groups* in
-  /// incremental mode, individual routes in full-recompute mode.
+  /// Candidates examined this epoch: endpoint *groups* whose epoch-start
+  /// path crosses a changed next hop in incremental mode (exactly the
+  /// changed groups when the epoch holds one event), individual routes in
+  /// full-recompute mode.
   std::size_t candidates = 0;
   std::size_t reencoded = 0;     ///< Routes freshly encoded.
   std::size_t withdrawn = 0;     ///< Routes that went dead.
@@ -206,15 +200,6 @@ class ReconvergenceEngine {
   [[nodiscard]] const EpochStats& totals() const noexcept { return totals_; }
 
  private:
-  /// Persistent encoding memo entry: on the static topology structure the
-  /// encoding and its index footprint are pure functions of (src, dst,
-  /// core path), so churn pays the CRT solve and footprint walk only on
-  /// first sight of each path — never invalidated.
-  struct CachedEncoding {
-    routing::EncodedRoute route;
-    IndexFootprint footprint;
-  };
-
   /// Everything the engine keeps per destination, bundled so one shard
   /// owns it outright during a forked epoch. States are created only on
   /// the serial path (add_route, warm_spts, epoch preamble).
@@ -226,8 +211,12 @@ class ReconvergenceEngine {
     std::map<std::vector<topo::NodeId>,
              std::vector<std::pair<topo::NodeId, topo::NodeId>>>
         protection;
-    /// Encoding memo (incremental mode only): src -> core path -> entry.
-    std::map<topo::NodeId, std::map<std::vector<topo::NodeId>, CachedEncoding>>
+    /// Encoding memo (incremental mode only): src -> core path -> encoding.
+    /// On the static topology structure an encoding is a pure function of
+    /// (src, dst, core path), so churn pays the CRT solve only on first
+    /// sight of each path — never invalidated.
+    std::map<topo::NodeId,
+             std::map<std::vector<topo::NodeId>, routing::EncodedRoute>>
         encodings;
   };
 
@@ -235,16 +224,11 @@ class ReconvergenceEngine {
   /// ... in first-appearance order. Kept across epochs, so a warm epoch
   /// reuses every buffer's capacity instead of reallocating per candidate.
   struct ShardScratch {
-    DistanceMoves moved;              ///< Phase A, per SPT event.
-    std::vector<GroupId> found;       ///< Phase A candidates.
-    std::vector<GroupId> candidates;  ///< Phase C input.
+    std::vector<topo::NodeId> changed;  ///< One destination's changed hops.
+    std::vector<GroupId> candidates;    ///< One destination's candidates.
     std::vector<GroupId> updated;
-    std::vector<topo::NodeId> core;   ///< Phase C path scratch.
+    std::vector<topo::NodeId> core;     ///< Path scratch.
     EpochStats stats;
-    ShardLog log;
-
-    /// Empties every list (capacity kept) for the next epoch.
-    void reset();
   };
 
   [[nodiscard]] std::size_t threshold() const;
@@ -265,11 +249,11 @@ class ReconvergenceEngine {
   routing::EncodedRoute encode_fresh(DstState& state, topo::NodeId src,
                                      topo::NodeId dst,
                                      const std::vector<topo::NodeId>& core);
-  /// Finds or builds the persistent encoding-cache entry for
+  /// Finds or builds the persistent encoding-memo entry for
   /// (src, dst, core) — incremental mode's encode path.
-  const CachedEncoding& lookup_encoding(DstState& state, topo::NodeId src,
-                                        topo::NodeId dst,
-                                        const std::vector<topo::NodeId>& core);
+  const routing::EncodedRoute& lookup_encoding(
+      DstState& state, topo::NodeId src, topo::NodeId dst,
+      const std::vector<topo::NodeId>& core);
   /// Admits one route at the current version (serial) and converges its
   /// group against the current SPT, recording the change in `result`.
   RouteKey install(topo::NodeId src, topo::NodeId dst, EpochResult& result);
@@ -278,12 +262,16 @@ class ReconvergenceEngine {
   void recompute_all(EpochResult& result);
   /// Group reconvergence (incremental epochs and admissions): decide once
   /// per endpoint group and write its record once, whatever its member
-  /// count. `core` is the caller's path scratch (one per shard). `log`
-  /// non-null routes cross-shard store side effects through a ShardLog
-  /// (forked phase C); null writes the store directly (serial).
+  /// count. `core` is the caller's path scratch (one per shard). Touches
+  /// only the group's destination's state, so shards may call it
+  /// concurrently for groups of different destinations.
   void reconverge_group(GroupId id, std::vector<topo::NodeId>& core,
-                        std::vector<GroupId>& updated, EpochStats& stats,
-                        ShardLog* log);
+                        std::vector<GroupId>& updated, EpochStats& stats);
+  /// Incremental epoch body for the destinations `shard` owns: advance
+  /// each SPT through `events`, then reconverge the groups whose path
+  /// crosses a changed next hop.
+  void reconverge_shard(std::size_t shard, std::size_t shards,
+                        const std::vector<LinkChange>& events);
   /// Runs body(0 .. shards-1): inline for one shard, else by fork_join on a
   /// lazily built pool of shards - 1 workers (shard 0 on the caller).
   void fork(std::size_t shards, const std::function<void(std::size_t)>& body);
@@ -296,8 +284,9 @@ class ReconvergenceEngine {
   std::unique_ptr<runner::ThreadPool> pool_;
   // Epoch scratch, reused across epochs (capacity kept).
   std::vector<ShardScratch> shard_scratch_;
-  std::vector<GroupId> candidates_;
-  std::vector<std::uint32_t> owner_;
+  /// Per group: the last epoch that made it a candidate, so a group found
+  /// at several changed nodes is examined once.
+  std::vector<std::uint64_t> candidate_epoch_;
   std::vector<topo::NodeId> install_core_;  ///< install()'s path scratch.
   std::uint64_t version_ = 0;
   EpochStats totals_;

@@ -1,47 +1,34 @@
 // The control plane's route table: every encoded KAR route (primary path +
-// driven-deflection protection + CRT route ID) plus the inverted indexes the
-// incremental engine needs to answer "which routes can a link event touch?"
-// without scanning the table.
+// driven-deflection protection + CRT route ID) plus the one inverted index
+// the incremental engine needs to answer "which routes does a next-hop
+// change touch?" without scanning the table.
 //
 // Group interning (docs/ctrlplane.md): routes sharing (src, dst) share one
 // canonical path and so one encoding, so the store keeps liveness, core
-// path, encoding, index footprint and version once per endpoint group, and
-// a route (member) keeps only its group, tombstone flag and version stamp.
-// Re-encoding a group writes one record whatever its size: a link event
-// costs O(changed groups), not O(member routes).
+// path, encoding and version once per endpoint group, and a route (member)
+// keeps only its group, tombstone flag and version stamp. Re-encoding a
+// group writes one record whatever its size: a link event costs
+// O(changed groups), not O(member routes).
 //
 // Version rule: a member reports its group's version when the group changed
 // after the member's own stamp, and otherwise its own version — the install
 // epoch when installed into a live group, 0 when installed into a dead one,
 // the withdraw epoch once withdrawn.
 //
-// Index invariants — postings hold GroupIds:
-//   * link index — a live group is reachable from every link its encoding
-//     references: each primary-path hop, the source edge's uplink, and every
-//     driven-deflection protection edge (assignment port -> link);
-//   * dependency index — a group is reachable from every node whose distance
-//     field or incident-link set its canonical path selection reads: the
-//     source edge, every primary-path node, and all their neighbors (a dead
-//     group keeps only its source edge, whose distance turning finite is the
-//     only event that can revive it);
-//   * path index — a group is reachable from every node where its canonical
-//     next hop is chosen ({src} ∪ core path; {src} when dead): only those
-//     groups can be flipped by a link-up tie at the node or hurt by the
-//     node's distance increasing;
-//   * node and path postings and the group records live in a slab owned by
-//     the destination, so a reconvergence shard owning a set of
-//     destinations touches only its own slabs — the sharded engine mutates
-//     disjoint memory without locks. Group records never move;
-//   * the link index and the live-route counter are the only structures
-//     shared across destinations: sharded mutators buffer those side
-//     effects in a ShardLog, replayed serially after the join (link-posting
-//     append order is not observable — every consumer sorts or dedups);
-//   * postings are append-only with lazy compaction: a lookup filters stale
-//     entries against the group's current footprint and rewrites the
-//     posting list when more than half of it was stale.
+// Path index: the posting of node n for destination d holds exactly the
+// groups to d whose path set — {src} ∪ core path, {src} alone when dead —
+// contains n, once each. A group's canonical path is the walk of its
+// destination's next-hop table from its source, so it can change only when
+// the entry at one of these nodes does (docs/ctrlplane.md, exactness
+// argument). A reindex swap-removes the group from its old core nodes'
+// postings (each group records its slot in every posting it sits in) and
+// appends it to the new ones, so postings never hold stale entries and
+// never need compacting. Postings, group records and the live-route count
+// live in a slab owned by the destination, so a reconvergence shard owning
+// a set of destinations touches only its own slabs — the sharded engine
+// mutates disjoint memory without locks. Group records never move.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -59,56 +46,6 @@ using RouteKey = std::uint64_t;
 /// Dense endpoint-group handle: groups are numbered in first-member order.
 using GroupId = std::uint32_t;
 
-/// Fixed-capacity bitset over NodeIds (the store sizes it to the topology).
-class NodeMask {
- public:
-  NodeMask() = default;
-  explicit NodeMask(std::size_t bits) : words_((bits + 63) / 64) {}
-
-  void set(std::size_t bit) { words_[bit >> 6] |= std::uint64_t{1} << (bit & 63); }
-  [[nodiscard]] bool test(std::size_t bit) const {
-    return (words_[bit >> 6] >> (bit & 63)) & 1;
-  }
-  [[nodiscard]] bool intersects(const NodeMask& other) const {
-    const std::size_t n = std::min(words_.size(), other.words_.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if ((words_[i] & other.words_[i]) != 0) return true;
-    }
-    return false;
-  }
-  void clear() { words_.assign(words_.size(), 0); }
-
-  /// Calls `fn(bit)` for every bit set here but not in `other` (which must
-  /// have the same capacity), ascending.
-  template <typename Fn>
-  void for_each_not_in(const NodeMask& other, Fn&& fn) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      const std::uint64_t masked =
-          words_[w] & (w < other.words_.size() ? ~other.words_[w]
-                                               : ~std::uint64_t{0});
-      for (std::uint64_t bits = masked; bits != 0; bits &= bits - 1) {
-        fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-      }
-    }
-  }
-
- private:
-  std::vector<std::uint64_t> words_;
-};
-
-/// A group's complete index footprint (dependency mask, path mask,
-/// referenced links). For a live group it is a pure function of (src, core
-/// path, encoding) on the static topology structure, so the engine builds
-/// it once per distinct path and caches it.
-struct IndexFootprint {
-  NodeMask deps;
-  /// Path membership: {src} ∪ core_path ({src} alone when dead). A subset
-  /// of `deps` — the canonical next hop is *chosen at* these nodes.
-  NodeMask path_nodes;
-  /// Sorted link handles the current encoding references.
-  std::vector<topo::LinkId> links;
-};
-
 /// The state every route of one (src, dst) endpoint group shares. `route`
 /// and `core_path` are meaningful only while `live`; a dead group (no
 /// usable path) keeps its endpoints and revives on repair.
@@ -120,7 +57,9 @@ struct RouteGroup {
   /// encoding was built from; empty when dead. It is the change detector.
   std::vector<topo::NodeId> core_path;
   routing::EncodedRoute route;
-  IndexFootprint footprint;
+  /// The group's index in each path posting it sits in: slots[0] in its
+  /// source's, slots[i + 1] in core_path[i]'s.
+  std::vector<std::uint32_t> slots;
   /// Epoch of the group's last state change (0 = never changed).
   std::uint64_t version = 0;
   /// Member keys, ascending, withdrawn ones included (docs/daemon.md).
@@ -155,24 +94,13 @@ struct StoredRoute {
   const std::vector<topo::NodeId>& core_path;
 };
 
-/// Side effects of a sharded mutation that land in structures shared
-/// *across* destination shards (the link index and the live counter).
-/// A reconvergence worker passes one to set_encoding()/set_dead() instead
-/// of letting them write shared state; the engine replays every shard's
-/// log serially with apply_shard_log() after the join. Replay order only
-/// permutes link-posting append order, which no consumer observes.
-struct ShardLog {
-  std::vector<std::pair<topo::LinkId, GroupId>> link_appends;
-  std::ptrdiff_t live_delta = 0;
-};
-
-/// Owns the groups, the members and the inverted indexes. Mutation goes
-/// through the engine: add() registers a member, set_encoding()/set_dead()
-/// swap in a group's reconverged state and reindex it.
+/// Owns the groups, the members and the path index. Mutation goes through
+/// the engine: add() registers a member, set_encoding()/set_dead() swap in
+/// a group's reconverged state and reindex it. Calls that touch only one
+/// destination's groups may run concurrently with calls on another's.
 class RouteStore {
  public:
-  /// The topology derives dependency sets and link handles at (re)index
-  /// time; it must outlive the store.
+  /// The topology sizes the path index; it must outlive the store.
   explicit RouteStore(const topo::Topology& topology);
 
   /// Registers a route for (src, dst) at engine epoch `epoch`, founding its
@@ -191,7 +119,7 @@ class RouteStore {
   [[nodiscard]] const RouteGroup& group(GroupId id) const { return *groups_[id]; }
 
   /// Routes currently live (members of live groups).
-  [[nodiscard]] std::size_t live_count() const noexcept { return live_; }
+  [[nodiscard]] std::size_t live_count() const noexcept;
   /// Routes tombstoned by set_withdrawn().
   [[nodiscard]] std::size_t withdrawn_count() const noexcept { return withdrawn_; }
 
@@ -200,31 +128,15 @@ class RouteStore {
     return destinations_;
   }
 
-  /// Builds the index footprint a live group with this (src, core path,
-  /// encoding) would get — link-state-independent, so it can be cached.
-  [[nodiscard]] IndexFootprint build_footprint(
-      topo::NodeId src, const std::vector<topo::NodeId>& core_path,
-      const routing::EncodedRoute& route) const;
-
   /// Installs a fresh encoding (computed from `core_path`) into group `id`,
-  /// stamps it `version` and reindexes it. A non-null `footprint` (equal to
-  /// build_footprint(src, core_path, route)) is copied in instead of being
-  /// rebuilt. A non-null `log` takes the cross-shard side effects instead
-  /// of the shared structures — required whenever another thread may be
-  /// mutating a different destination concurrently.
+  /// stamps it `version` and reindexes it.
   void set_encoding(GroupId id, const std::vector<topo::NodeId>& core_path,
-                    const routing::EncodedRoute& route, std::uint64_t version,
-                    const IndexFootprint* footprint = nullptr,
-                    ShardLog* log = nullptr);
+                    const routing::EncodedRoute& route, std::uint64_t version);
 
   /// Marks group `id` dead (no usable path), stamps it `version` and
-  /// shrinks its footprint to the revive trigger (the source edge's
-  /// distance). `log` as above.
-  void set_dead(GroupId id, std::uint64_t version, ShardLog* log = nullptr);
-
-  /// Serially replays a shard's buffered cross-shard side effects. Must not
-  /// run concurrently with any other store access.
-  void apply_shard_log(const ShardLog& log);
+  /// shrinks its path set to its source: only a change of the source's
+  /// next hop can revive it.
+  void set_dead(GroupId id, std::uint64_t version);
 
   /// Marks `key` installed live: its own version becomes its join epoch.
   void set_installed(RouteKey key) { members_[key].stamped = true; }
@@ -234,41 +146,27 @@ class RouteStore {
   /// the store.
   void set_withdrawn(RouteKey key, std::uint64_t version);
 
-  /// Eager sweep of every posting list: drops entries whose group no
-  /// longer carries the indexed link/node in its current footprint (the
-  /// same predicate the lazy per-lookup compaction applies), then sorts and
-  /// dedups each rewritten list. Intended for idle windows between epochs
-  /// (the daemon's background compaction); returns entries dropped.
-  std::size_t compact_postings();
-
-  /// Appends every group whose current encoding references `link`. May
-  /// append a group more than once; callers dedup.
-  void collect_link_dependents(topo::LinkId link, std::vector<GroupId>& out) const;
-
-  /// Appends every group to `dst` whose dependency set contains `node`.
-  void collect_node_dependents(topo::NodeId node, topo::NodeId dst,
-                               std::vector<GroupId>& out) const;
-
-  /// Appends every group (to `dst`, or to any destination) whose path
-  /// membership set ({src} ∪ core path) contains `node` — the groups that
-  /// choose a next hop there (file comment, path index).
-  void collect_path_dependents(topo::NodeId node, topo::NodeId dst,
-                               std::vector<GroupId>& out) const;
-  void collect_path_dependents(topo::NodeId node, std::vector<GroupId>& out) const;
+  /// The groups to `dst` whose path set contains `node` (file comment), in
+  /// no particular order. `dst` must be one of destinations().
+  [[nodiscard]] const std::vector<GroupId>& path_posting(
+      topo::NodeId dst, topo::NodeId node) const {
+    return slab(dst).path[node];
+  }
 
  private:
-  /// Everything one destination owns: its groups and their node/path
-  /// postings (indexed by NodeId). Created only in add() — always serial.
+  /// Everything one destination owns: its groups, their path postings
+  /// (indexed by NodeId) and their live member count. Created only in
+  /// add() — always serial.
   struct DstSlab {
-    std::vector<std::vector<GroupId>> node;
     std::vector<std::vector<GroupId>> path;
     std::deque<RouteGroup> groups;
+    std::size_t live = 0;
   };
 
-  /// Reindexes group `g` onto `next` by diff-append, then adopts it.
-  void reindex(GroupId id, RouteGroup& g, const IndexFootprint& next,
-               ShardLog* log);
-  void add_live(std::ptrdiff_t delta, ShardLog* log);
+  /// Removes group `id` from the postings of its core path's nodes.
+  void unpost_core(RouteGroup& g, DstSlab& s);
+  /// Appends group `id` to the postings of its core path's nodes.
+  static void post_core(GroupId id, RouteGroup& g, DstSlab& s);
 
   [[nodiscard]] DstSlab& slab(topo::NodeId dst) const { return *slabs_[dst]; }
 
@@ -278,13 +176,9 @@ class RouteStore {
   /// pointers survive moving the store).
   std::vector<RouteGroup*> groups_;
   std::vector<topo::NodeId> destinations_;
-  /// By NodeId; null until the node is some route's destination. The
-  /// slabs' postings are lazily compacted by const lookups.
+  /// By NodeId; null until the node is some route's destination.
   std::vector<std::unique_ptr<DstSlab>> slabs_;
   std::map<std::pair<topo::NodeId, topo::NodeId>, GroupId> group_of_;
-  /// Postings by LinkId, shared across shards; lazily compacted.
-  mutable std::vector<std::vector<GroupId>> link_index_;
-  std::size_t live_ = 0;
   std::size_t withdrawn_ = 0;
 };
 

@@ -67,66 +67,57 @@ void DynamicSpt::rebuild() {
   }
 }
 
-SptUpdateStats DynamicSpt::apply_link_event(topo::LinkId link, bool up,
-                                            DistanceMoves& moved) {
-  const std::size_t first_raised = moved.raised.size();
-  const std::size_t first_lowered = moved.lowered.size();
-  const SptUpdateStats stats =
-      up ? handle_insert(link, moved) : handle_delete(link, moved);
-  if (stats.fallback) return stats;  // rebuild() refilled the whole table
+SptUpdateStats DynamicSpt::apply_link_event(
+    topo::LinkId link, bool up, std::vector<topo::NodeId>& changed) {
+  moved_.clear();
+  const SptUpdateStats stats = up ? handle_insert(link) : handle_delete(link);
+  if (stats.fallback) {
+    old_next_hop_ = next_hop_;
+    rebuild();
+    for (topo::NodeId v = 0; v < next_hop_.size(); ++v) {
+      if (next_hop_[v] != old_next_hop_[v]) changed.push_back(v);
+    }
+    return stats;
+  }
   // A next hop reads its node's incident links and its neighbors'
   // distances: only the event link's endpoints and the neighbors of moved
   // nodes can have a different argmin now.
   ++epoch_;
   const topo::Link& l = topo_->link(link);
-  refresh_next_hop(l.a.node);
-  refresh_next_hop(l.b.node);
-  const auto refresh_neighbors = [&](const std::vector<topo::NodeId>& nodes,
-                                     std::size_t first) {
-    for (std::size_t i = first; i < nodes.size(); ++i) {
-      for (const topo::LinkId link_id : topo_->ports(nodes[i])) {
-        refresh_next_hop(topo_->link(link_id).other(nodes[i]));
-      }
+  refresh_next_hop(l.a.node, changed);
+  refresh_next_hop(l.b.node, changed);
+  for (const topo::NodeId node : moved_) {
+    for (const topo::LinkId link_id : topo_->ports(node)) {
+      refresh_next_hop(topo_->link(link_id).other(node), changed);
     }
-  };
-  refresh_neighbors(moved.raised, first_raised);
-  refresh_neighbors(moved.lowered, first_lowered);
+  }
   return stats;
 }
 
-void DynamicSpt::refresh_next_hop(topo::NodeId node) {
+void DynamicSpt::refresh_next_hop(topo::NodeId node,
+                                  std::vector<topo::NodeId>& changed) {
   if (mark_[node] == epoch_) return;
   mark_[node] = epoch_;
-  next_hop_[node] = compute_next_hop(node);
+  const topo::NodeId next = compute_next_hop(node);
+  if (next == next_hop_[node]) return;
+  next_hop_[node] = next;
+  changed.push_back(node);
 }
 
-SptUpdateStats DynamicSpt::fallback_rebuild(DistanceMoves& moved) {
-  old_dist_ = dist_;
-  rebuild();
-  for (topo::NodeId v = 0; v < dist_.size(); ++v) {
-    if (dist_[v] > old_dist_[v]) moved.raised.push_back(v);
-    if (dist_[v] < old_dist_[v]) moved.lowered.push_back(v);
-  }
-  return SptUpdateStats{dist_.size(), true};
-}
-
-SptUpdateStats DynamicSpt::handle_insert(topo::LinkId link,
-                                         DistanceMoves& moved) {
+SptUpdateStats DynamicSpt::handle_insert(topo::LinkId link) {
   const topo::Link& l = topo_->link(link);
   // A coalesced epoch can replay a repair that a later (also pending)
   // failure already reverted; the topology holds the final say.
   if (!l.up) return SptUpdateStats{0, false};
   const double w = routing::link_cost(l, metric_);
   ++epoch_;
-  touched_.clear();
 
   const auto improve = [&](topo::NodeId node, topo::NodeId via,
                            topo::LinkId via_link, double nd) {
     if (nd >= dist_[node]) return;
     if (mark_[node] != epoch_) {
       mark_[node] = epoch_;
-      old_dist_[node] = dist_[node];
-      touched_.push_back(node);
+      moved_.push_back(node);
     }
     dist_[node] = nd;
     parent_[node] = via;
@@ -155,13 +146,11 @@ SptUpdateStats DynamicSpt::handle_insert(topo::LinkId link,
     }
   }
 
-  // Every touched node strictly improved (improve() only fires on <).
-  moved.lowered.insert(moved.lowered.end(), touched_.begin(), touched_.end());
-  return SptUpdateStats{touched_.size(), false};
+  // Every listed node strictly improved (improve() only fires on <).
+  return SptUpdateStats{moved_.size(), false};
 }
 
-SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
-                                         DistanceMoves& moved) {
+SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link) {
   const topo::Link& l = topo_->link(link);
   // A non-tree link carries no settled distance: removing it changes
   // nothing (every shortest distance is realised along tree edges). The
@@ -184,7 +173,7 @@ SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
     mark_[dst_] = epoch_;
     affected_flag_[dst_] = 0;
   }
-  std::vector<topo::NodeId>& affected = touched_;
+  std::vector<topo::NodeId>& affected = affected_;
   affected.assign(1, seed);
   std::vector<topo::NodeId>& chain = chain_;
   const std::size_t n = topo_->node_count();
@@ -213,7 +202,7 @@ SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
     }
   }
 
-  if (affected.size() > threshold_) return fallback_rebuild(moved);
+  if (affected.size() > threshold_) return SptUpdateStats{dist_.size(), true};
 
   const auto in_affected = [&](topo::NodeId node) {
     return mark_[node] == epoch_ && affected_flag_[node] == 1;
@@ -251,9 +240,7 @@ SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
   // already holds a later event's repair, A may settle below its old
   // distances through it, and that gain must flow on (the repair's own
   // event seeds only its endpoints). Such nodes are flagged 2 and listed
-  // once in `lowered`; on a lone delete none is.
-  std::vector<topo::NodeId>& lowered = chain_;
-  lowered.clear();
+  // once in moved_; on a lone delete none is.
   while (!heap_.empty()) {
     const auto [d, cur] = heap_.top();
     heap_.pop();
@@ -268,8 +255,7 @@ SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
         if (mark_[next] != epoch_ || affected_flag_[next] == 0) {
           mark_[next] = epoch_;
           affected_flag_[next] = 2;
-          old_dist_[next] = dist_[next];
-          lowered.push_back(next);
+          moved_.push_back(next);
         }
         dist_[next] = cand;
         parent_[next] = cur;
@@ -279,13 +265,12 @@ SptUpdateStats DynamicSpt::handle_delete(topo::LinkId link,
     }
   }
 
+  // Every node flagged outside A strictly improved and is listed already.
+  const std::size_t lowered = moved_.size();
   for (const topo::NodeId v : affected) {
-    if (dist_[v] > old_dist_[v]) moved.raised.push_back(v);
-    if (dist_[v] < old_dist_[v]) moved.lowered.push_back(v);
+    if (dist_[v] != old_dist_[v]) moved_.push_back(v);
   }
-  // Every node flagged outside A strictly improved.
-  moved.lowered.insert(moved.lowered.end(), lowered.begin(), lowered.end());
-  return SptUpdateStats{affected.size() + lowered.size(), false};
+  return SptUpdateStats{affected.size() + lowered, false};
 }
 
 topo::NodeId DynamicSpt::compute_next_hop(topo::NodeId from) const {

@@ -7,8 +7,9 @@
 // the KAR domain). On a link-down event only the *affected subtree* — the
 // nodes whose tree path to the root crosses the dead link — is re-settled
 // by a Dijkstra seeded from its boundary (which reaches past the subtree
-// only in a coalesced epoch, see DistanceMoves); on a link-up event the
-// new link's endpoints seed a relaxation cascade. When
+// only in a coalesced epoch, whose topology already holds a later event's
+// repair); on a link-up event the new link's endpoints seed a relaxation
+// cascade. When
 // the affected subtree outgrows `fallback_threshold` the update falls back
 // to a full rebuild (the classic dynamic-SSSP escape hatch: past a certain
 // dirty-frontier size the incremental machinery costs more than Dijkstra).
@@ -27,9 +28,13 @@
 // incremental update refreshes only the entries whose inputs can have
 // moved: a next hop reads nothing but its node's incident link states and
 // its neighbors' distances, so the refresh set is the event link's two
-// endpoints plus every neighbor of every node whose distance changed. The
-// full-recompute engine rebuilds every tree (and with it every table) each
-// epoch, so a missed refresh shows up there as a differential mismatch.
+// endpoints plus every neighbor of every node whose distance changed. An
+// update reports the nodes whose entry it changed (a fallback rebuild diffs
+// the whole table): a route's path is the walk of this table from its
+// source, so those nodes are all the reconvergence engine needs to find
+// the routes whose path moved. The full-recompute engine rebuilds every
+// tree (and with it every table) each epoch, so a missed refresh shows up
+// there as a differential mismatch.
 #pragma once
 
 #include <cstdint>
@@ -52,20 +57,6 @@ struct SptUpdateStats {
   bool fallback = false;
 };
 
-/// Nodes whose distance updates moved, by direction. A lone repair only
-/// lowers distances and a lone failure only raises them; in a coalesced
-/// epoch, whose topology already holds later events' link states, a
-/// failure's re-settled subtree can also fall through a pending repair.
-struct DistanceMoves {
-  std::vector<topo::NodeId> raised;
-  std::vector<topo::NodeId> lowered;
-
-  void clear() {
-    raised.clear();
-    lowered.clear();
-  }
-};
-
 class DynamicSpt {
  public:
   /// Builds the initial tree with a full Dijkstra over the topology's
@@ -83,11 +74,11 @@ class DynamicSpt {
   void rebuild();
 
   /// Applies one link state transition. The topology must already reflect
-  /// the new state (call after set_link_up). Nodes whose distance changed
-  /// are appended to `moved` by direction (unordered, each duplicate-free
-  /// per call, disjoint), and the next-hop table is refreshed.
+  /// the new state (call after set_link_up). Refreshes the next-hop table
+  /// and appends to `changed` every node whose canonical next hop differs
+  /// from before the call (unordered, each once per call).
   SptUpdateStats apply_link_event(topo::LinkId link, bool up,
-                                  DistanceMoves& moved);
+                                  std::vector<topo::NodeId>& changed);
 
   /// Canonical next hop from `from` toward the destination (see file
   /// comment): a table read; kInvalidNode when unreachable and at the
@@ -105,11 +96,15 @@ class DynamicSpt {
   [[nodiscard]] bool propagates(topo::NodeId node) const;
   /// The argmin of the file comment, computed from the adjacency.
   [[nodiscard]] topo::NodeId compute_next_hop(topo::NodeId from) const;
-  /// Recomputes `node`'s table entry once per refresh pass (epoch-stamped).
-  void refresh_next_hop(topo::NodeId node);
-  SptUpdateStats handle_insert(topo::LinkId link, DistanceMoves& moved);
-  SptUpdateStats handle_delete(topo::LinkId link, DistanceMoves& moved);
-  SptUpdateStats fallback_rebuild(DistanceMoves& moved);
+  /// Recomputes `node`'s table entry once per refresh pass (epoch-stamped),
+  /// appending `node` to `changed` when the entry moved.
+  void refresh_next_hop(topo::NodeId node, std::vector<topo::NodeId>& changed);
+  /// Settle the distances after a link-up / link-down, listing the nodes
+  /// whose distance changed in moved_. handle_delete leaves the tree
+  /// untouched and reports `fallback` when the affected subtree outgrows
+  /// the threshold.
+  SptUpdateStats handle_insert(topo::LinkId link);
+  SptUpdateStats handle_delete(topo::LinkId link);
 
   const topo::Topology* topo_;
   topo::NodeId dst_;
@@ -127,9 +122,10 @@ class DynamicSpt {
   std::vector<std::uint8_t> affected_flag_;
   std::uint32_t epoch_ = 0;
   std::vector<double> old_dist_;
-  std::vector<topo::NodeId> touched_;  ///< Improved / affected node list.
-  /// Parent chain being classified; then the nodes a delete lowered.
-  std::vector<topo::NodeId> chain_;
+  std::vector<topo::NodeId> old_next_hop_;  ///< Fallback rebuild's diff base.
+  std::vector<topo::NodeId> moved_;    ///< Nodes whose distance changed.
+  std::vector<topo::NodeId> affected_;  ///< A delete's affected subtree.
+  std::vector<topo::NodeId> chain_;  ///< Parent chain being classified.
   /// Dijkstra min-heap; always drained, so its storage carries over.
   std::priority_queue<std::pair<double, topo::NodeId>,
                       std::vector<std::pair<double, topo::NodeId>>,

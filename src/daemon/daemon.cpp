@@ -124,11 +124,6 @@ void Kard::register_metrics() {
       "already-in-state transitions that cost no reconvergence).");
   snapshots_total_ =
       registry_.counter("kar_daemon_snapshots_total", "Snapshots written.");
-  compactions_total_ = registry_.counter(
-      "kar_daemon_compactions_total", "Posting-list compaction sweeps.");
-  compacted_entries_total_ = registry_.counter(
-      "kar_daemon_compacted_entries_total",
-      "Stale posting entries dropped by compaction sweeps.");
   routes_gauge_ = registry_.gauge("kar_daemon_routes",
                                   "Route slots in the store (dense keys).");
   live_routes_gauge_ = registry_.gauge(
@@ -241,8 +236,6 @@ std::string Kard::handle_immediate(const Request& request) {
     }
     case Verb::kSnapshot:
       return handle_snapshot(request);
-    case Verb::kCompact:
-      return handle_compact();
     case Verb::kShutdown: {
       shutdown_requested_.store(true, std::memory_order_relaxed);
       runner::JsonObject o;
@@ -341,19 +334,6 @@ std::string Kard::handle_snapshot(const Request& request) {
   o.field("ok", true)
       .field("path", path)
       .field("bytes", static_cast<std::uint64_t>(bytes));
-  return o.str();
-}
-
-std::string Kard::handle_compact() {
-  std::size_t dropped = 0;
-  {
-    std::unique_lock<std::shared_mutex> lock(state_mutex_);
-    dropped = store_.compact_postings();
-  }
-  compactions_total_.inc();
-  compacted_entries_total_.inc(dropped);
-  runner::JsonObject o;
-  o.field("ok", true).field("dropped", static_cast<std::uint64_t>(dropped));
   return o.str();
 }
 
@@ -472,13 +452,6 @@ void Kard::flusher_loop() {
         }
         continue;
       }
-      if (config_.compact_every_epochs > 0 &&
-          epochs_since_compact_ >= config_.compact_every_epochs) {
-        lock.unlock();
-        maybe_compact_idle();
-        lock.lock();
-        continue;
-      }
       queue_cv_.wait(lock,
                      [this] { return !pending_.empty() || stop_flusher_; });
       continue;
@@ -516,17 +489,6 @@ void Kard::flusher_loop() {
   // otherwise never resolve and the netted transitions would be lost.
   lock.unlock();
   if (!held_links_.empty()) flush_batch({}, /*drain_window=*/true);
-}
-
-void Kard::maybe_compact_idle() {
-  std::size_t dropped = 0;
-  {
-    std::unique_lock<std::shared_mutex> lock(state_mutex_);
-    dropped = store_.compact_postings();
-  }
-  epochs_since_compact_ = 0;
-  compactions_total_.inc();
-  compacted_entries_total_.inc(dropped);
 }
 
 void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
@@ -609,7 +571,6 @@ void Kard::flush_batch(std::vector<PendingOp> batch, bool drain_window) {
       result = engine_->apply(events, installs, withdraws, &installed_keys);
       epoch_active_.store(false, std::memory_order_relaxed);
       epochs_applied_.fetch_add(1, std::memory_order_relaxed);
-      ++epochs_since_compact_;
       epochs_total_.inc();
       epoch_seconds_.observe(result.stats.wall_s);
       if (!batch.empty()) {

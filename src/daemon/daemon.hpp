@@ -5,8 +5,8 @@
 //
 //   * Request admission — every request line enters through submit_line().
 //     Read verbs (query/stats/metrics/ping) execute immediately under a
-//     shared lock; exclusive immediate verbs (encode/snapshot/compact)
-//     take the state lock alone; mutating verbs (install/withdraw/
+//     shared lock; exclusive immediate verbs (encode/snapshot) take the
+//     state lock alone; mutating verbs (install/withdraw/
 //     link-up/link-down) are *batched*: they join the pending epoch and
 //     their futures resolve when it flushes.
 //   * Epoch batching — a dedicated flusher thread drains the pending ops
@@ -38,12 +38,9 @@
 //     on demand, automatic snapshot on graceful shutdown, restore at boot
 //     (--restore) resuming at the recorded epoch version without a full
 //     re-encode.
-//   * Background compaction — between epochs, when the queue is idle, the
-//     flusher eagerly compacts the store's posting lists every
-//     compact_every_epochs epochs.
 //   * Telemetry — kar_daemon_* metric families (requests, errors, epochs,
 //     batch sizes, request/admission-wait/epoch latency, queue depth,
-//     routes, snapshots, compactions) plus the engine's kar_ctrlplane_*
+//     routes, snapshots) plus the engine's kar_ctrlplane_*
 //     families on one registry, scrape-able via the `metrics` verb or the
 //     HTTP endpoint in daemon/server.hpp.
 #pragma once
@@ -92,8 +89,6 @@ struct KardConfig {
   /// drain. 0 (default) = drain with every batch (per-batch coalescing
   /// only; see the file comment).
   double coalesce_window_s = 0.0;
-  /// Eagerly compact posting lists every N epochs when idle (0 = never).
-  std::size_t compact_every_epochs = 64;
   /// Snapshot file ("" = stateless daemon; `snapshot` verb then needs an
   /// explicit path argument).
   std::string snapshot_path;
@@ -187,7 +182,6 @@ class Kard {
   std::string handle_encode(const Request& request);
   std::string handle_stats();
   std::string handle_snapshot(const Request& request);
-  std::string handle_compact();
   /// Validates and enqueues a mutating verb; fulfills the promise with an
   /// error immediately when resolution fails.
   void enqueue_mutation(const ParsedRequest& parsed,
@@ -198,7 +192,6 @@ class Kard {
   /// drains unconditionally. May be called with an empty batch to drain
   /// the window alone.
   void flush_batch(std::vector<PendingOp> batch, bool drain_window);
-  void maybe_compact_idle();
 
   KardConfig config_;
   topo::Scenario scenario_;
@@ -207,7 +200,7 @@ class Kard {
   SnapshotInfo restored_;
 
   /// Guards topology link states, store and engine. Readers (query/stats/
-  /// snapshot serialization) shared; epochs/encode/compact exclusive.
+  /// snapshot serialization) shared; epochs/encode exclusive.
   mutable std::shared_mutex state_mutex_;
 
   std::mutex queue_mutex_;
@@ -222,7 +215,6 @@ class Kard {
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<bool> epoch_active_{false};
   std::atomic<std::uint64_t> epochs_applied_{0};
-  std::size_t epochs_since_compact_ = 0;  // flusher thread only
 
   // Cross-epoch link-coalescing window (all flusher thread only, except
   // the atomic mirror of the held count that stats/tests read).
@@ -237,8 +229,6 @@ class Kard {
   obs::Counter epochs_total_;
   obs::Counter coalesced_events_total_;
   obs::Counter snapshots_total_;
-  obs::Counter compactions_total_;
-  obs::Counter compacted_entries_total_;
   obs::Gauge routes_gauge_;
   obs::Gauge live_routes_gauge_;
   obs::Gauge queue_depth_gauge_;

@@ -24,7 +24,6 @@
 //   --flush-max=N         flush as soon as N mutations pend (default 4096)
 //   --coalesce-window=S   hold + net link flaps for S seconds before
 //                         reconverging (default 0 = per-batch only)
-//   --compact-every=N     idle posting compaction every N epochs (default 64)
 //   --engine=MODE         incremental | full (default incremental)
 //   --shards=N            reconvergence shards (1 = serial, 0 = hw threads)
 //   --no-host-edges       do not attach per-switch host edge nodes
@@ -56,8 +55,6 @@ int main(int argc, char** argv) {
     config.coalesce_window_s = flags.get_double("coalesce-window", 0.0);
     config.engine.shards =
         static_cast<std::size_t>(flags.get_int("shards", 1));
-    config.compact_every_epochs =
-        static_cast<std::size_t>(flags.get_int("compact-every", 64));
     config.snapshot_path = flags.get_string("snapshot", "");
     config.restore = flags.get_bool("restore", false);
     config.snapshot_on_shutdown = flags.get_bool("final-snapshot", true);

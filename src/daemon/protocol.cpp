@@ -43,7 +43,7 @@ struct VerbSpec {
   std::size_t max_args;
 };
 
-constexpr std::array<VerbSpec, 12> kVerbs{{
+constexpr std::array<VerbSpec, 11> kVerbs{{
     {"ping", Verb::kPing, 0, 0},
     {"encode", Verb::kEncode, 2, 2},
     {"install", Verb::kInstall, 2, 2},
@@ -52,7 +52,6 @@ constexpr std::array<VerbSpec, 12> kVerbs{{
     {"link-up", Verb::kLinkUp, 2, 2},
     {"link-down", Verb::kLinkDown, 2, 2},
     {"snapshot", Verb::kSnapshot, 0, 1},
-    {"compact", Verb::kCompact, 0, 0},
     {"stats", Verb::kStats, 0, 0},
     {"metrics", Verb::kMetrics, 0, 0},
     {"shutdown", Verb::kShutdown, 0, 0},

@@ -32,7 +32,6 @@ enum class Verb : std::uint8_t {
   kLinkUp,     ///< link-up A B — repair the link between two named nodes.
   kLinkDown,   ///< link-down A B — fail the link between two named nodes.
   kSnapshot,   ///< snapshot [PATH] — write the store snapshot to disk.
-  kCompact,    ///< compact — eager posting-list compaction.
   kStats,      ///< stats — store/engine/queue counters as JSON.
   kMetrics,    ///< metrics — Prometheus exposition text (JSON-escaped).
   kShutdown,   ///< shutdown — drain, snapshot, exit.

@@ -1,6 +1,6 @@
 // Unit tests for the incremental control plane (src/ctrlplane/): the route
-// store's inverted indexes, the dynamic SPT against its full-Dijkstra
-// oracle, the reconvergence engine (incremental vs full-recompute), the
+// store's path index against a brute-force recount, the dynamic SPT and its
+// reported next-hop changes against their from-scratch oracles, the reconvergence engine (incremental vs full-recompute), the
 // versioned route-table install on sim::Network, and the rewired
 // ReactiveController. The heavyweight cross-topology equivalence proof
 // lives in tests/test_ctrlplane_differential.cpp.
@@ -35,7 +35,6 @@ using ctrlplane::EngineConfig;
 using ctrlplane::EngineMode;
 using ctrlplane::GroupId;
 using ctrlplane::LinkChange;
-using ctrlplane::NodeMask;
 using ctrlplane::ReconvergenceEngine;
 using ctrlplane::RouteKey;
 using ctrlplane::RouteStore;
@@ -57,29 +56,6 @@ TEST(EngineMode, ParsesAndPrints) {
   EXPECT_EQ(std::string(to_string(EngineMode::kFullRecompute)), "full");
 }
 
-// -- NodeMask -----------------------------------------------------------------
-
-TEST(NodeMaskTest, SetTestIntersectsClear) {
-  NodeMask a(130);
-  NodeMask b(130);
-  EXPECT_FALSE(a.test(0));
-  a.set(0);
-  a.set(63);
-  a.set(64);
-  a.set(129);
-  EXPECT_TRUE(a.test(0));
-  EXPECT_TRUE(a.test(63));
-  EXPECT_TRUE(a.test(64));
-  EXPECT_TRUE(a.test(129));
-  EXPECT_FALSE(a.test(1));
-  EXPECT_FALSE(a.intersects(b));
-  b.set(64);
-  EXPECT_TRUE(a.intersects(b));
-  a.clear();
-  EXPECT_FALSE(a.test(64));
-  EXPECT_FALSE(a.intersects(b));
-}
-
 // -- RouteStore ---------------------------------------------------------------
 
 TEST(RouteStoreTest, AddValidatesEndpointsAndAssignsDenseKeys) {
@@ -96,6 +72,32 @@ TEST(RouteStoreTest, AddValidatesEndpointsAndAssignsDenseKeys) {
             (std::vector<topo::NodeId>{t.at("D"), t.at("S")}));
 }
 
+/// Checks every path posting against its brute-force set — the groups to
+/// that destination whose {src} ∪ core path ({src} alone when dead) holds
+/// the node, each exactly once — and returns the total posting size.
+std::size_t expect_exact_postings(const topo::Topology& t,
+                                  const RouteStore& store,
+                                  const std::string& where) {
+  std::size_t total = 0;
+  for (const topo::NodeId dst : store.destinations()) {
+    std::vector<std::vector<GroupId>> expected(t.node_count());
+    for (GroupId id = 0; id < store.group_count(); ++id) {
+      const ctrlplane::RouteGroup& g = store.group(id);
+      if (g.dst != dst) continue;
+      expected[g.src].push_back(id);
+      for (const topo::NodeId node : g.core_path) expected[node].push_back(id);
+    }
+    for (topo::NodeId node = 0; node < t.node_count(); ++node) {
+      std::vector<GroupId> got = store.path_posting(dst, node);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, expected[node])
+          << where << ": posting of " << t.name(node) << " to " << t.name(dst);
+      total += got.size();
+    }
+  }
+  return total;
+}
+
 TEST(RouteStoreTest, IndexesFollowReencodeWithdrawAndRevive) {
   Scenario s = topo::make_fig1_network();
   topo::Topology& t = s.topology;
@@ -108,47 +110,43 @@ TEST(RouteStoreTest, IndexesFollowReencodeWithdrawAndRevive) {
   EXPECT_EQ(initial.core_path,
             (std::vector<topo::NodeId>{t.at("SW4"), t.at("SW7"), t.at("SW11")}));
 
-  const auto link_dependents = [&](const char* a, const char* b) {
-    std::vector<GroupId> out;
-    store.collect_link_dependents(*t.link_between(t.at(a), t.at(b)), out);
-    return out;
-  };
-  const auto node_dependents = [&](const char* name) {
-    std::vector<GroupId> out;
-    store.collect_node_dependents(t.at(name), t.at("D"), out);
-    return out;
+  const auto posting = [&](const char* name) {
+    return store.path_posting(t.at("D"), t.at(name));
   };
   const GroupId group = store.get(key).group;
+  const std::vector<GroupId> just_group{group};
 
-  EXPECT_EQ(link_dependents("SW7", "SW11"), (std::vector<GroupId>{group}));
-  EXPECT_EQ(link_dependents("S", "SW4"), (std::vector<GroupId>{group}));
-  EXPECT_EQ(node_dependents("SW4"), (std::vector<GroupId>{group}));
-  EXPECT_EQ(node_dependents("S"), (std::vector<GroupId>{group}));
+  EXPECT_EQ(posting("S"), just_group);
+  EXPECT_EQ(posting("SW7"), just_group);
+  EXPECT_TRUE(posting("SW5").empty());
+  EXPECT_EQ(expect_exact_postings(t, store, "install"), 4u);
 
-  // Re-encode around a failed primary link: the stale link posting filters.
+  // Re-encode around a failed primary link: the group moves onto SW5.
   const topo::LinkId primary = *t.link_between(t.at("SW7"), t.at("SW11"));
   t.set_link_up(primary, false);
   const auto epoch1 = engine.apply({{primary, false}});
   EXPECT_EQ(epoch1.updated_groups, (std::vector<GroupId>{group}));
+  EXPECT_EQ(epoch1.stats.candidates, 1u);
   EXPECT_EQ(ctrlplane::updated_keys(store, epoch1),
             (std::vector<RouteKey>{key}));
   ASSERT_TRUE(store.get(key).live);
   EXPECT_EQ(store.get(key).core_path,
             (std::vector<topo::NodeId>{t.at("SW4"), t.at("SW7"), t.at("SW5"),
                                        t.at("SW11")}));
-  EXPECT_TRUE(link_dependents("SW7", "SW11").empty());
-  EXPECT_EQ(link_dependents("SW5", "SW11"), (std::vector<GroupId>{group}));
+  EXPECT_EQ(posting("SW5"), just_group);
+  (void)expect_exact_postings(t, store, "re-encode");
 
-  // Withdraw: D's only uplink dies; the dead route keeps only its revive
-  // trigger (the source edge's distance).
+  // Withdraw: D's only uplink dies; the dead group stays posted at its
+  // source alone.
   const topo::LinkId uplink = *t.link_between(t.at("SW11"), t.at("D"));
   t.set_link_up(uplink, false);
   const auto epoch2 = engine.apply({{uplink, false}});
   EXPECT_EQ(epoch2.stats.withdrawn, 1u);
   EXPECT_FALSE(store.get(key).live);
-  EXPECT_TRUE(node_dependents("SW4").empty());
-  EXPECT_EQ(node_dependents("S"), (std::vector<GroupId>{group}));
-  EXPECT_TRUE(link_dependents("S", "SW4").empty());
+  EXPECT_TRUE(posting("SW4").empty());
+  EXPECT_TRUE(posting("SW11").empty());
+  EXPECT_EQ(posting("S"), just_group);
+  (void)expect_exact_postings(t, store, "withdraw");
 
   // Revive on repair.
   t.set_link_up(uplink, true);
@@ -158,6 +156,40 @@ TEST(RouteStoreTest, IndexesFollowReencodeWithdrawAndRevive) {
   EXPECT_EQ(store.get(key).core_path,
             (std::vector<topo::NodeId>{t.at("SW4"), t.at("SW7"), t.at("SW5"),
                                        t.at("SW11")}));
+  EXPECT_EQ(posting("SW11"), just_group);
+  (void)expect_exact_postings(t, store, "revive");
+}
+
+// Flapping a core link moves groups off and back onto the same nodes every
+// cycle; exact postings keep their size however long that goes on.
+TEST(RouteStoreTest, PostingsStayExactUnderFlapping) {
+  Scenario s = topo::make_rnp28();
+  topo::Topology& t = s.topology;
+  const std::vector<topo::NodeId> hosts = topo::attach_host_edges(t);
+  RouteStore store(t);
+  ReconvergenceEngine engine(t, store);
+  for (const topo::NodeId src : hosts) {
+    for (const topo::NodeId dst : hosts) {
+      if (src != dst) (void)engine.add_route(src, dst);
+    }
+  }
+  ASSERT_EQ(store.group_count(), 756u);
+  const topo::LinkId link = *t.link_between(t.at("SW7"), t.at("SW13"));
+  std::size_t reencoded = 0;
+  const auto flap = [&](int cycles) {
+    for (int cycle = 0; cycle < cycles; ++cycle) {
+      for (const bool up : {false, true}) {
+        t.set_link_up(link, up);
+        reencoded += engine.apply({{link, up}}).stats.reencoded;
+      }
+    }
+  };
+  flap(10);
+  ASSERT_GT(reencoded, 0u);  // the flap moves groups
+  const std::size_t after_10 = expect_exact_postings(t, store, "10 cycles");
+  flap(990);
+  const std::size_t after_1000 = expect_exact_postings(t, store, "1000 cycles");
+  EXPECT_EQ(after_10, after_1000);
 }
 
 // -- DynamicSpt ---------------------------------------------------------------
@@ -176,33 +208,50 @@ void expect_matches_oracle(const topo::Topology& t, const DynamicSpt& spt,
   }
 }
 
+/// The tree's whole next-hop table.
+std::vector<topo::NodeId> next_hops(const topo::Topology& t,
+                                    const DynamicSpt& spt) {
+  std::vector<topo::NodeId> table(t.node_count());
+  for (topo::NodeId v = 0; v < t.node_count(); ++v) {
+    table[v] = spt.canonical_next_hop(v);
+  }
+  return table;
+}
+
+/// Applies one event and checks what it reports: the nodes whose next hop
+/// differs from `before` (the table ahead of the call), each once. Returns
+/// the update's stats.
+ctrlplane::SptUpdateStats apply_and_check_changed(
+    const topo::Topology& t, DynamicSpt& spt, const LinkChange& event,
+    const std::string& where) {
+  const std::vector<topo::NodeId> before = next_hops(t, spt);
+  std::vector<topo::NodeId> changed;
+  const ctrlplane::SptUpdateStats stats =
+      spt.apply_link_event(event.link, event.up, changed);
+  const std::set<topo::NodeId> reported(changed.begin(), changed.end());
+  EXPECT_EQ(reported.size(), changed.size())
+      << where << ": duplicate changed nodes";
+  std::set<topo::NodeId> expected;
+  for (topo::NodeId v = 0; v < t.node_count(); ++v) {
+    if (spt.canonical_next_hop(v) != before[v]) expected.insert(v);
+  }
+  EXPECT_EQ(reported, expected)
+      << where << (stats.fallback ? " (fallback rebuild)" : "") << " to "
+      << t.name(spt.destination());
+  return stats;
+}
+
 void churn_against_oracle(topo::Topology& t, topo::NodeId dst,
                           std::size_t threshold, int steps, common::Rng& rng) {
   DynamicSpt spt(t, dst, routing::PathMetric::kHopCount, threshold);
   expect_matches_oracle(t, spt, -1);
-  ctrlplane::DistanceMoves moved;
   for (int step = 0; step < steps; ++step) {
     const auto link = static_cast<topo::LinkId>(rng.below(t.link_count()));
     const bool up = !t.link(link).up;
     t.set_link_up(link, up);
-    const std::vector<double> before = spt.distances();
-    moved.clear();
-    spt.apply_link_event(link, up, moved);
-    // The reported sets are exactly the moved distances, by direction; a
-    // lone repair only lowers, a lone failure only raises.
-    const std::set<topo::NodeId> raised(moved.raised.begin(), moved.raised.end());
-    const std::set<topo::NodeId> lowered(moved.lowered.begin(),
-                                         moved.lowered.end());
-    ASSERT_EQ(raised.size(), moved.raised.size()) << "duplicate raised nodes";
-    ASSERT_EQ(lowered.size(), moved.lowered.size()) << "duplicate lowered nodes";
-    ASSERT_TRUE(up ? raised.empty() : lowered.empty()) << "step " << step;
-    for (std::size_t v = 0; v < before.size(); ++v) {
-      const auto node = static_cast<topo::NodeId>(v);
-      ASSERT_EQ(before[v] < spt.distances()[v], raised.count(node) == 1)
-          << "step " << step << ", node " << t.name(node);
-      ASSERT_EQ(before[v] > spt.distances()[v], lowered.count(node) == 1)
-          << "step " << step << ", node " << t.name(node);
-    }
+    (void)apply_and_check_changed(t, spt, LinkChange{link, up},
+                                  "step " + std::to_string(step));
+    if (::testing::Test::HasFailure()) return;
     expect_matches_oracle(t, spt, step);
   }
 }
@@ -259,8 +308,9 @@ TEST(DynamicSptTest, CanonicalPathIsShortestUsableAndDeterministic) {
   // must extract the identical canonical path (pure function of distances).
   const topo::LinkId link = *t.link_between(t.at("SW7"), t.at("SW13"));
   t.set_link_up(link, false);
-  ctrlplane::DistanceMoves moved;
-  spt.apply_link_event(link, false, moved);
+  std::vector<topo::NodeId> changed;
+  spt.apply_link_event(link, false, changed);
+  EXPECT_FALSE(changed.empty());
   const auto after = check(spt);
   EXPECT_NE(before, after);
   DynamicSpt fresh(t, dst, routing::PathMetric::kHopCount, 1000);
@@ -305,7 +355,8 @@ topo::NodeId argmin_next_hop(const topo::Topology& t, const DynamicSpt& spt,
 /// final state before the first event is applied, as the engine's coalesced
 /// epochs do (a link may flip twice in one epoch). After every epoch each
 /// node's table entry must equal the from-scratch argmin, and the table a
-/// freshly built tree's. `fallbacks` counts the fallback rebuilds taken.
+/// freshly built tree's, and every event must report exactly the entries it
+/// changed. `fallbacks` counts the fallback rebuilds taken.
 void churn_next_hop_table(topo::Topology& t,
                           const std::vector<topo::NodeId>& dsts,
                           routing::PathMetric metric, std::size_t threshold,
@@ -316,7 +367,6 @@ void churn_next_hop_table(topo::Topology& t,
     spts.push_back(std::make_unique<DynamicSpt>(t, dst, metric, threshold));
   }
   fallbacks = 0;
-  ctrlplane::DistanceMoves moved;
   for (int epoch = 0; epoch < epochs; ++epoch) {
     std::vector<bool> up(t.link_count());
     for (topo::LinkId link = 0; link < t.link_count(); ++link) {
@@ -331,9 +381,13 @@ void churn_next_hop_table(topo::Topology& t,
     }
     for (const LinkChange& e : events) t.set_link_up(e.link, up[e.link]);
     for (const auto& spt : spts) {
-      for (const LinkChange& e : events) {
-        moved.clear();
-        if (spt->apply_link_event(e.link, e.up, moved).fallback) ++fallbacks;
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        const std::string where = "epoch " + std::to_string(epoch) +
+                                  ", event " + std::to_string(i);
+        if (apply_and_check_changed(t, *spt, events[i], where).fallback) {
+          ++fallbacks;
+        }
+        if (::testing::Test::HasFailure()) return;
       }
       const DynamicSpt fresh(t, spt->destination(), metric, threshold);
       for (topo::NodeId v = 0; v < t.node_count(); ++v) {
@@ -454,8 +508,7 @@ TEST(ReconvergenceEngineTest, IncrementalMatchesFullRecomputeOnFig2) {
   // Two changes in one epoch.
   run_epoch({flip(t, "SW10", "SW7", false), flip(t, "SW10", "SW11", false)});
   run_epoch({flip(t, "SW10", "SW7", true), flip(t, "SW13", "SW29", true)});
-  // The candidate superset never exceeds the full engine's whole-table
-  // scan. (On a 15-node net where every route crosses the core the two can
+  // The candidates never exceed the full engine's whole-table scan. (On a 15-node net where every route crosses the core the two can
   // be equal; the scaling win is bench/churn_convergence's claim.)
   EXPECT_LE(inc.totals().candidates, full.totals().candidates);
 }

@@ -120,6 +120,19 @@ void expect_identical_tables(const topo::Topology& t, const RouteStore& inc,
   }
 }
 
+/// The incremental engine's candidates are the groups whose path crosses a
+/// changed next hop: exactly the changed groups on a one-event epoch, and
+/// on a multi-event epoch at least those (an entry may change and change
+/// back).
+void expect_exact_candidates(const ctrlplane::EpochResult& result,
+                             std::size_t events, const std::string& where) {
+  if (events == 1) {
+    ASSERT_EQ(result.stats.candidates, result.updated_groups.size()) << where;
+  } else {
+    ASSERT_GE(result.stats.candidates, result.updated_groups.size()) << where;
+  }
+}
+
 void run_sequence(const std::string& topology, std::uint64_t sequence,
                   common::Rng& rng) {
   Scenario s = make_scenario(topology);
@@ -176,6 +189,7 @@ void run_sequence(const std::string& topology, std::uint64_t sequence,
     ASSERT_EQ(ctrlplane::updated_keys(inc_store, ri),
               ctrlplane::updated_keys(full_store, rf))
         << where;
+    expect_exact_candidates(ri, events.size(), where);
     expect_identical_tables(t, inc_store, full_store, where);
     for (RouteKey key = 0; key < inc_store.size(); ++key) {
       ASSERT_EQ(inc_store.get(key).version, full_store.get(key).version)
@@ -359,6 +373,7 @@ TEST(CtrlplaneCoalescedDifferential, MixedEpochsEqualFullRecompute) {
       ASSERT_EQ(ctrlplane::updated_keys(inc_store, ri),
                 ctrlplane::updated_keys(full_store, rf))
           << where;
+      expect_exact_candidates(ri, events.size(), where);
       expect_identical_tables(t, inc_store, full_store, where);
       if (::testing::Test::HasFatalFailure()) return;
     }

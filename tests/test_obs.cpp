@@ -801,8 +801,6 @@ const std::map<std::string, std::string>& daemon_family_types() {
       {"kar_daemon_epochs_total", "counter"},
       {"kar_daemon_coalesced_events_total", "counter"},
       {"kar_daemon_snapshots_total", "counter"},
-      {"kar_daemon_compactions_total", "counter"},
-      {"kar_daemon_compacted_entries_total", "counter"},
       {"kar_daemon_routes", "gauge"},
       {"kar_daemon_live_routes", "gauge"},
       {"kar_daemon_queue_depth", "gauge"},
@@ -922,14 +920,6 @@ TEST(Exporters, DaemonPrometheusTextMatchesGolden) {
                "already-in-state transitions that cost no reconvergence).")
       .inc(4);
   registry.counter("kar_daemon_snapshots_total", "Snapshots written.").inc(1);
-  registry
-      .counter("kar_daemon_compactions_total",
-               "Posting-list compaction sweeps.")
-      .inc(2);
-  registry
-      .counter("kar_daemon_compacted_entries_total",
-               "Stale posting entries dropped by compaction sweeps.")
-      .inc(37);
   registry.gauge("kar_daemon_routes", "Route slots in the store (dense keys).")
       .set(6);
   registry

@@ -206,11 +206,9 @@ CrossingGroups busiest_core_link(topo::Topology& t,
 
 /// Heap allocations of one failure epoch of `crossing.link` that re-encodes
 /// the groups of the first `groups` crossing sources (one route each),
-/// after two fail/repair cycles have warmed the encoding memo and the
-/// engine's scratch. The postings are compacted first, as the daemon does
-/// between epochs: a flapping group re-appends itself to the postings of
-/// the nodes it moves back onto, so uncompacted postings grow with the
-/// group count (amortised, store-side), which is not what this pins.
+/// after two fail/repair cycles have warmed the encoding memo, the
+/// engine's scratch and the postings' capacity (a posting holds each group
+/// once, so a flapping group reuses the room it left).
 std::uint64_t crossing_epoch_allocations(topo::Topology& t,
                                          const CrossingGroups& crossing,
                                          std::size_t groups) {
@@ -234,7 +232,6 @@ std::uint64_t crossing_epoch_allocations(topo::Topology& t,
     (void)flip(false);
     (void)flip(true);
   }
-  (void)store.compact_postings();
   const std::uint64_t allocations = flip(false);
   (void)flip(true);
   return allocations;
