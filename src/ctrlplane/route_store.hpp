@@ -163,7 +163,7 @@ class RouteStore {
     std::size_t live = 0;
   };
 
-  /// Removes group `id` from the postings of its core path's nodes.
+  /// Removes group `g` from the postings of its core path's nodes.
   void unpost_core(RouteGroup& g, DstSlab& s);
   /// Appends group `id` to the postings of its core path's nodes.
   static void post_core(GroupId id, RouteGroup& g, DstSlab& s);

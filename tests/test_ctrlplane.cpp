@@ -1,8 +1,8 @@
 // Unit tests for the incremental control plane (src/ctrlplane/): the route
 // store's path index against a brute-force recount, the dynamic SPT and its
-// reported next-hop changes against their from-scratch oracles, the reconvergence engine (incremental vs full-recompute), the
-// versioned route-table install on sim::Network, and the rewired
-// ReactiveController. The heavyweight cross-topology equivalence proof
+// reported next-hop changes against their from-scratch oracles, the
+// reconvergence engine (incremental vs full-recompute), the versioned
+// route-table install on sim::Network, and the rewired ReactiveController. The heavyweight cross-topology equivalence proof
 // lives in tests/test_ctrlplane_differential.cpp.
 #include <gtest/gtest.h>
 
@@ -508,8 +508,9 @@ TEST(ReconvergenceEngineTest, IncrementalMatchesFullRecomputeOnFig2) {
   // Two changes in one epoch.
   run_epoch({flip(t, "SW10", "SW7", false), flip(t, "SW10", "SW11", false)});
   run_epoch({flip(t, "SW10", "SW7", true), flip(t, "SW13", "SW29", true)});
-  // The candidates never exceed the full engine's whole-table scan. (On a 15-node net where every route crosses the core the two can
-  // be equal; the scaling win is bench/churn_convergence's claim.)
+  // The candidates never exceed the full engine's whole-table scan. (On a
+  // 15-node net where every route crosses the core the two can be equal;
+  // the scaling win is bench/churn_convergence's claim.)
   EXPECT_LE(inc.totals().candidates, full.totals().candidates);
 }
 
